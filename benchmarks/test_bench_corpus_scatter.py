@@ -16,8 +16,7 @@ document into N shards drops the cross terms between candidates and child
 matches that live in different subtrees (which can never nest), leaving
 roughly 1/N of the work.  The gate therefore holds even under the GIL,
 where thread-level parallelism alone could not deliver 2x for pure-Python
-evaluation.  Under the GIL-releasing numpy kernels the shard sweeps overlap
-across cores too — the corpus sizes its pool through the planner's
+evaluation.  The corpus sizes its pool through the planner's
 :func:`~repro.engine.planner.recommend_scatter_workers`, and the executor
 configuration actually used is recorded in the benchmark's ``extra_info``
 so each ``BENCH_<run>.json`` artifact says how the measured run was wired.
@@ -191,7 +190,7 @@ def test_corpus_scatter_gather_speedup(benchmark, experiment_report):
     config = sharded.executor_config()
     report.add_row(
         "executor",
-        f"{config['backend']} kernels, {config['max_workers']} workers over "
+        f"{config['max_workers']} workers over "
         f"{config['num_shards']} shards",
     )
 

@@ -8,10 +8,9 @@ interleaved round-robin) two ways:
 * **service** — the same operation stream through per-dataset
   :class:`repro.service.QueryService` instances with a warm result cache,
   each sized by the planner's
-  :func:`~repro.engine.planner.default_service_workers` (scales with cores
-  under the GIL-releasing numpy kernels, the historical 8 under pure
-  Python); the executor configuration used lands in the benchmark's
-  ``extra_info`` and with it in the ``BENCH_<run>.json`` artifact.
+  :func:`~repro.engine.planner.default_service_workers`; the executor
+  configuration used lands in the benchmark's ``extra_info`` and with it in
+  the ``BENCH_<run>.json`` artifact.
 
 Both passes run against pre-built session artifacts, so the comparison is
 steady-state serving, not construction.  The acceptance bar is a ≥2x
@@ -54,8 +53,7 @@ def test_service_throughput(benchmark, experiment_report):
         dataset_id: Dataspace.from_dataset(dataset_id, h=SERVICE_H)
         for dataset_id in datasets
     }
-    # No explicit max_workers: the planner's backend-aware default sizes the
-    # pool (cores-scaled under numpy, the historical 8 under pure Python).
+    # No explicit max_workers: the planner's default sizes the pool.
     cached = {
         dataset_id: QueryService(session)
         for dataset_id, session in sessions.items()

@@ -447,9 +447,9 @@ class SubscriptionEvent:
                 )
         for answer in self.added:
             by_id[answer.mapping_id] = answer
-        return sorted(
-            by_id.values(), key=lambda a: (-a.probability, a.mapping_id)
-        )
+        from repro.query.results import rank_by_probability
+
+        return rank_by_probability(by_id.values())
 
 
 def subscription_update_from_json(payload: dict) -> SubscriptionEvent:

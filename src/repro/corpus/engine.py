@@ -59,7 +59,7 @@ from repro.engine.delta import MappingDelta
 from repro.engine.streaming import DeltaBatch
 from repro.engine.planner import recommend_scatter_workers
 from repro.exceptions import CorpusError, QueryError
-from repro.mapping.mapping_set import iter_mapping_ids, mapping_mask
+from repro.mapping.mapping_set import iter_mapping_ids
 from repro.query.ptq import _canonicalize
 from repro.query.results import CanonicalMatch, PTQAnswer, PTQResult
 from repro.query.twigmatch import match_twig
@@ -402,10 +402,7 @@ class _Gather:
 
     def relevant_mask(self) -> int:
         """Bitmask of this query's relevant mappings (memoized upstream)."""
-        return mapping_mask(
-            mapping.mapping_id
-            for mapping in self.prepared.relevant_mappings(snapshot=self.state.snapshot)
-        )
+        return self.prepared.relevant_mappings(snapshot=self.state.snapshot).mask
 
 
 # --------------------------------------------------------------------------- #
@@ -447,12 +444,7 @@ class ShardedCorpus:
         self._sessions = list(sessions)
         self._shards_per_session = shards_per_session
         self.name = name or "+".join(names)
-        # Pool sizing is backend-aware: the numpy kernels release the GIL in
-        # their bitset sweeps, so the pool scales with the machine's cores;
-        # the pure-Python kernels keep the historical GIL-bound sizing.
-        self._max_workers = max_workers or recommend_scatter_workers(
-            self.num_shards, self._sessions[0].kernels
-        )
+        self._max_workers = max_workers or recommend_scatter_workers(self.num_shards)
         self._lock = threading.Lock()
         # Every session's current state must fit simultaneously (plus slack
         # for one superseded generation), or a many-session corpus would
@@ -708,7 +700,6 @@ class ShardedCorpus:
         return {
             "num_shards": self.num_shards,
             "max_workers": self._max_workers,
-            "backend": self._sessions[0].kernels.name,
         }
 
     # ------------------------------------------------------------------ #
@@ -757,7 +748,7 @@ class ShardedCorpus:
         if partition is None:
             partition = partition_document(snapshot.document, self._shards_per_session)
             session.remember_partition(partition)
-        compiled = snapshot.mapping_set.compile(session.kernels)
+        compiled = snapshot.mapping_set.compile()
         base = index * self._shards_per_session
         shards = tuple(
             CorpusShard(base + local_id, session.name, shard_document, compiled)
@@ -920,7 +911,7 @@ class ShardedCorpus:
                 )
                 seeds[g.entry_index] = {}
                 continue
-            selected_mask = mapping_mask(m.mapping_id for m in g.selected)
+            selected_mask = state.compiled.mask_for(g.selected)
             branchy = any(len(node.children) > 1 for node in g.prepared.query.nodes)
             spine_elements = state.partition.spine_element_ids
             plan = _rewrite_plan(
@@ -1089,7 +1080,7 @@ class ShardedCorpus:
                 continue
             relevant = g.prepared.relevant_mappings(snapshot=g.state.snapshot)
             if k is None:
-                g.selected = list(relevant)
+                g.selected = relevant
                 continue
             pool.extend(
                 (mapping.probability, g.entry_index, mapping.mapping_id)
@@ -1415,24 +1406,31 @@ class ShardedCorpus:
         k: Optional[int] = None,
         use_cache: bool = True,
         executor=None,
+        timings_ms: Optional[list[float]] = None,
     ) -> list[PTQResult]:
         """Evaluate many queries; with an executor, one worker per query.
 
         Each query's scatter then runs inline in its worker (shard-level and
         batch-level parallelism are not nested), which is how the service
-        layer routes batches across shards.
+        layer routes batches across shards.  ``timings_ms``, when given, is
+        extended with each query's own evaluation time in milliseconds,
+        measured in the thread that ran it, in input order.
         """
+
+        def run_one(query) -> tuple[PTQResult, float]:
+            started = time.perf_counter()
+            result = self.execute(query, k=k, use_cache=use_cache, parallel=False)
+            return result, (time.perf_counter() - started) * 1000.0
+
         queries = list(queries)
         if executor is not None and len(queries) > 1:
-            futures = [
-                executor.submit(self.execute, query, k=k, use_cache=use_cache, parallel=False)
-                for query in queries
-            ]
-            return [future.result() for future in futures]
-        return [
-            self.execute(query, k=k, use_cache=use_cache, parallel=False)
-            for query in queries
-        ]
+            futures = [executor.submit(run_one, query) for query in queries]
+            timed = [future.result() for future in futures]
+        else:
+            timed = [run_one(query) for query in queries]
+        if timings_ms is not None:
+            timings_ms.extend(ms for _, ms in timed)
+        return [result for result, _ in timed]
 
     def __repr__(self) -> str:
         return (

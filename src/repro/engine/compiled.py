@@ -22,17 +22,13 @@ those operations become single bitwise AND / popcount steps:
 * **probability column** — mapping probabilities as a flat tuple indexed by
   mapping id.
 
-These neutral columns (plain Python ints and float tuples) are the artifact's
-*source of truth* — what :meth:`CompiledMappingSet.patched` edits and what the
-persistent store serialises.  The hot loops *over* them — coverage
-intersection, the union-of-coverage filter step, partition refinement,
-probability accumulation — run on a pluggable kernel backend
-(:mod:`repro.engine.kernels`): the pure-Python backend evaluates the columns
-directly, while the numpy backend lazily packs them into ``uint64`` word
-matrices and a contiguous ``float64`` column and runs the same loops as
-vectorised ufunc calls.  Backends are byte-identical by contract; which one
-runs is reported through :meth:`CompiledMappingSet.stats` (and thus
-``explain()``).
+All columns are plain Python ints and float tuples: they are what
+:meth:`CompiledMappingSet.patched` edits, what the persistent store
+serialises, and what the hot loops below (coverage intersection, the
+union-of-coverage filter step, partition refinement, probability
+accumulation) run on directly.  The masks are a few machine words wide for
+every mapping set the engine sees, so CPython's big-int AND/OR is cheaper
+than any per-call conversion to an array library.
 
 :meth:`CompiledMappingSet.rewrite_groups` is what the engine's ``compiled``
 query plan runs on: it partitions the relevant mappings of a query embedding
@@ -50,10 +46,14 @@ view.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from repro.engine.kernels import Kernels, resolve_kernels
-from repro.mapping.mapping_set import MappingSet, iter_mapping_ids, mapping_mask
+from repro.mapping.mapping_set import (
+    MappingSet,
+    MappingSubset,
+    iter_mapping_ids,
+    mapping_mask,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapping.mapping import Mapping
@@ -79,22 +79,14 @@ class CompiledMappingSet:
         "num_mappings",
         "all_mask",
         "probabilities",
-        "kernels",
         "_pair_masks",
         "_covered_masks",
         "_target_sources",
-        "_columns",
     )
 
-    def __init__(
-        self, mapping_set: MappingSet, kernels: Union[Kernels, str, None] = None
-    ) -> None:
+    def __init__(self, mapping_set: MappingSet) -> None:
         self.mapping_set = mapping_set
         self.num_mappings = len(mapping_set)
-        #: The kernel backend the hot loops run on (repro.engine.kernels).
-        self.kernels: Kernels = resolve_kernels(kernels)
-        # Backend columnar state, bound lazily on first hot-loop call.
-        self._columns: Any = None
         #: Bitmask with one bit per mapping, all set.
         self.all_mask = (1 << self.num_mappings) - 1
         #: Probability column, indexed by mapping id.
@@ -146,10 +138,6 @@ class CompiledMappingSet:
         self.mapping_set = mapping_set
         self.num_mappings = previous.num_mappings
         self.all_mask = previous.all_mask
-        # The patched artifact stays on its predecessor's backend; its bound
-        # columnar state is rebuilt lazily because the columns changed.
-        self.kernels = previous.kernels
-        self._columns = None
         # The probability column is the one full column a delta rebuilds.
         self.probabilities = tuple(mapping.probability for mapping in mapping_set)
         pair_masks = dict(previous._pair_masks)
@@ -206,44 +194,6 @@ class CompiledMappingSet:
         return self
 
     # ------------------------------------------------------------------ #
-    # Kernel backend plumbing
-    # ------------------------------------------------------------------ #
-    def _bound(self) -> Any:
-        """The backend's columnar state, bound on first use and memoized.
-
-        Benign under races: binding is a pure function of the (immutable)
-        neutral columns, so two threads building concurrently produce
-        equivalent states and the last assignment wins.
-        """
-        columns = self._columns
-        if columns is None:
-            columns = self.kernels.bind(self)
-            self._columns = columns
-        return columns
-
-    def with_kernels(self, kernels: Union[Kernels, str, None]) -> "CompiledMappingSet":
-        """A view of this artifact running on a different kernel backend.
-
-        The neutral columns are shared (they are immutable by convention);
-        only the backend choice and its lazily bound columnar state differ.
-        Returns ``self`` when the resolved backend is already this one.
-        """
-        resolved = resolve_kernels(kernels)
-        if resolved is self.kernels:
-            return self
-        twin = object.__new__(type(self))
-        twin.mapping_set = self.mapping_set
-        twin.num_mappings = self.num_mappings
-        twin.all_mask = self.all_mask
-        twin.probabilities = self.probabilities
-        twin.kernels = resolved
-        twin._pair_masks = self._pair_masks
-        twin._covered_masks = self._covered_masks
-        twin._target_sources = self._target_sources
-        twin._columns = None
-        return twin
-
-    # ------------------------------------------------------------------ #
     # Mask primitives
     # ------------------------------------------------------------------ #
     def pair_mask(self, key: "CorrespondenceKey") -> int:
@@ -259,42 +209,66 @@ class CompiledMappingSet:
         return self._target_sources.get(target_id, ())
 
     def mask_for(self, mappings: Iterable["Mapping"]) -> int:
-        """Bitmask of the given mapping objects (by ``mapping_id``)."""
+        """Bitmask of the given mapping objects (by ``mapping_id``).
+
+        A :class:`~repro.mapping.mapping_set.MappingSubset` already carries
+        its mask, which is returned as is.
+        """
+        if isinstance(mappings, MappingSubset):
+            return mappings.mask
         return mapping_mask(mapping.mapping_id for mapping in mappings)
 
     def iter_ids(self, mask: int) -> Iterator[int]:
         """Mapping ids encoded in ``mask``, ascending."""
         return iter_mapping_ids(mask)
 
-    def mappings_of(self, mask: int) -> list["Mapping"]:
-        """Materialise ``mask`` as mapping objects, in ascending-id order."""
+    def mappings_of(self, mask: int) -> MappingSubset:
+        """Materialise ``mask`` as mapping objects (ascending id), carrying ``mask``."""
         mapping_set = self.mapping_set
-        return [mapping_set[mapping_id] for mapping_id in iter_mapping_ids(mask)]
+        return MappingSubset(
+            [mapping_set[mapping_id] for mapping_id in iter_mapping_ids(mask)], mask
+        )
 
     # ------------------------------------------------------------------ #
     # Coverage / filtering (the paper's filter_mappings, as bit algebra)
     # ------------------------------------------------------------------ #
     def covers_mask(self, target_ids: Iterable[int]) -> int:
-        """Mappings containing a correspondence for *every* given target element."""
-        return self.kernels.coverage_mask(self._bound(), list(target_ids))
+        """Mappings containing a correspondence for *every* given target element.
+
+        ANDs the coverage masks of ``target_ids``, short-circuiting at zero.
+        """
+        covered = self._covered_masks
+        mask = self.all_mask
+        for target_id in target_ids:
+            mask &= covered.get(target_id, 0)
+            if not mask:
+                break
+        return mask
 
     def covers_targets(self, mapping_id: int, target_ids: Iterable[int]) -> bool:
         """Single-mapping coverage test against the compiled index."""
         bit = 1 << mapping_id
         return all(self._covered_masks.get(target_id, 0) & bit for target_id in target_ids)
 
-    def mappings_covering(self, target_ids: Iterable[int]) -> list["Mapping"]:
+    def mappings_covering(self, target_ids: Iterable[int]) -> MappingSubset:
         """Mapping objects covering every target id (ascending-id order)."""
         return self.mappings_of(self.covers_mask(target_ids))
 
     def relevant_mask(self, embeddings: Iterable["Embedding"]) -> int:
-        """Mappings relevant for *any* embedding (union of per-embedding coverage)."""
-        return self.kernels.union_coverage(
-            self._bound(),
-            [list(set(embedding.values())) for embedding in embeddings],
-        )
+        """Mappings relevant for *any* embedding (union of per-embedding coverage).
 
-    def relevant_mappings(self, embeddings: Iterable["Embedding"]) -> list["Mapping"]:
+        One coverage AND per embedding, OR-ed across embeddings and
+        short-circuiting once every mapping is relevant.
+        """
+        mask = 0
+        all_mask = self.all_mask
+        for embedding in embeddings:
+            mask |= self.covers_mask(set(embedding.values()))
+            if mask == all_mask:
+                break
+        return mask
+
+    def relevant_mappings(self, embeddings: Iterable["Embedding"]) -> MappingSubset:
         """The paper's ``filter_mappings`` over pre-resolved embeddings."""
         return self.mappings_of(self.relevant_mask(embeddings))
 
@@ -322,34 +296,50 @@ class CompiledMappingSet:
             candidates &= mask
         if not candidates:
             return []
-        return self.kernels.refine_groups(self._bound(), required, candidates)
+        target_sources = self._target_sources
+        groups: list[RewriteGroup] = [(candidates, {})]
+        for target_id in required:
+            refined: list[RewriteGroup] = []
+            for group_mask, assignment in groups:
+                for source_id, source_mask in target_sources.get(target_id, ()):
+                    shared = group_mask & source_mask
+                    if shared:
+                        extended = dict(assignment)
+                        extended[target_id] = source_id
+                        refined.append((shared, extended))
+            groups = refined
+        return groups
 
     # ------------------------------------------------------------------ #
-    # Probability column (kernel-accelerated accumulation)
+    # Probability column
     # ------------------------------------------------------------------ #
     def probabilities_of(self, mask: int) -> list[float]:
         """Probability-column entries of ``mask``'s members, ascending id."""
-        return self.kernels.gather_probabilities(self._bound(), mask)
+        probabilities = self.probabilities
+        return [probabilities[mapping_id] for mapping_id in iter_mapping_ids(mask)]
 
     def probability_of_mask(self, mask: int) -> float:
         """Accumulated probability mass of the mappings encoded in ``mask``.
 
-        Both kernel backends sum in ascending mapping-id order with plain
-        sequential IEEE-754 addition, so the value is bit-identical across
-        backends.
+        Sums in ascending mapping-id order with plain sequential IEEE-754
+        addition, so the value is deterministic for a given mask.
         """
-        return self.kernels.probability_mass(self._bound(), mask)
+        probabilities = self.probabilities
+        total = 0.0
+        for mapping_id in iter_mapping_ids(mask):
+            total += probabilities[mapping_id]
+        return total
 
     def max_probability(self) -> float:
         """Largest single mapping probability (top-k session upper bounds)."""
-        return self.kernels.max_probability(self._bound())
+        return max(self.probabilities)
 
     # ------------------------------------------------------------------ #
     # Statistics (surfaced by explain())
     # ------------------------------------------------------------------ #
     def stats(self) -> dict:
         """Bitset statistics of the compiled artifact."""
-        popcounts = self.kernels.popcounts(self._pair_masks.values())
+        popcounts = [mask.bit_count() for mask in self._pair_masks.values()]
         num_masks = (
             len(self._pair_masks)
             + len(self._covered_masks)
@@ -357,7 +347,6 @@ class CompiledMappingSet:
         )
         mask_bytes = (self.num_mappings + 7) // 8
         return {
-            "kernel_backend": self.kernels.name,
             "num_mappings": self.num_mappings,
             "num_posting_lists": len(self._pair_masks),
             "num_target_elements": len(self._covered_masks),
@@ -388,12 +377,12 @@ class CompiledMappingSet:
                 set(embedding.values()), mask
             ):
                 num_groups += 1
-                per_mapping_evaluations += self.kernels.popcount(group_mask)
+                per_mapping_evaluations += group_mask.bit_count()
                 signatures.add(tuple(sorted(assignment.items())))
         stats = self.stats()
         stats.update(
             {
-                "num_selected": self.kernels.popcount(mask),
+                "num_selected": mask.bit_count(),
                 "selected_probability_mass": self.probability_of_mask(mask),
                 "num_rewrite_groups": num_groups,
                 "num_distinct_rewrites": len(signatures),
@@ -405,13 +394,10 @@ class CompiledMappingSet:
     def __repr__(self) -> str:
         return (
             f"CompiledMappingSet(mappings={self.num_mappings}, "
-            f"posting_lists={len(self._pair_masks)}, "
-            f"kernels={self.kernels.name!r})"
+            f"posting_lists={len(self._pair_masks)})"
         )
 
 
-def compile_mapping_set(
-    mapping_set: MappingSet, kernels: Union[Kernels, str, None] = None
-) -> CompiledMappingSet:
+def compile_mapping_set(mapping_set: MappingSet) -> CompiledMappingSet:
     """Functional alias of :meth:`MappingSet.compile` (same memoized artifact)."""
-    return mapping_set.compile(kernels)
+    return mapping_set.compile()

@@ -75,7 +75,6 @@ from repro.document.document import XMLDocument
 from repro.document.generator import generate_document
 from repro.engine.cache import CacheKey, ResultCache
 from repro.engine.delta import DeltaReport, MappingDelta
-from repro.engine.kernels import Kernels, resolve_kernels
 from repro.engine.locking import ReadWriteLock
 from repro.engine.planner import PlanDecision, QueryPlanner, canonical_text
 from repro.engine.plans import QueryPlan, available_plans, plan_for
@@ -96,7 +95,7 @@ from repro.exceptions import (
 )
 from repro.mapping.generator import GenerationMethod, generate_top_h_mappings
 from repro.mapping.mapping import Mapping
-from repro.mapping.mapping_set import MappingSet
+from repro.mapping.mapping_set import MappingSet, MappingSubset
 from repro.matching.matcher import MatcherConfig, SchemaMatcher
 from repro.matching.matching import SchemaMatching
 from repro.query.parser import parse_twig
@@ -194,13 +193,6 @@ class Dataspace:
         Session name; defaults to ``"<source>-><target>"``.
     cache_size:
         Capacity of the session's result cache (``0`` disables caching).
-    kernels:
-        Kernel backend the compiled bitset core runs on: a
-        :class:`~repro.engine.kernels.Kernels` instance, a backend name
-        (``"python"`` / ``"numpy"``), or ``None`` for the process default
-        (the ``REPRO_KERNELS`` environment variable, else ``numpy`` when
-        importable, else ``python``).  The backend never changes answers —
-        only how the hot loops execute.
     """
 
     def __init__(
@@ -219,7 +211,6 @@ class Dataspace:
         seed: Optional[int] = None,
         name: Optional[str] = None,
         cache_size: int = 128,
-        kernels: Union[str, Kernels, None] = None,
     ) -> None:
         if h < 1:
             raise DataspaceError(f"h must be at least 1, got {h}")
@@ -235,7 +226,6 @@ class Dataspace:
         self._max_blocks = max_blocks
         self._max_failures = max_failures
         self._seed = seed
-        self._kernels = resolve_kernels(kernels)
         self._dataset_id: Optional[str] = None
         if document is not None:
             self._check_document(document)
@@ -250,6 +240,9 @@ class Dataspace:
         self._document_version = 0
         self._delta_epoch = 0
         self._prepared: ResultCache = ResultCache(_PREPARED_CACHE_CAPACITY)
+        # Query text as given -> canonical key, so a repeated text skips the
+        # parse and normalization that dominate a result-cache hit.
+        self._canonical_keys: ResultCache = ResultCache(_PREPARED_CACHE_CAPACITY)
         # Caller-supplied twigs get a session-unique key from a monotonic
         # counter, remembered per live twig object: unlike a raw id(), a key
         # can never be reissued to a different twig after garbage collection,
@@ -306,7 +299,6 @@ class Dataspace:
         cache_size: int = 128,
         store=None,
         matching: Optional[SchemaMatching] = None,
-        kernels: Union[str, Kernels, None] = None,
     ) -> "Dataspace":
         """Open a session on one of the paper's Table II datasets (``"D1"``…``"D10"``).
 
@@ -339,7 +331,6 @@ class Dataspace:
                 max_failures=max_failures,
                 seed=seed,
                 cache_size=cache_size,
-                kernels=kernels,
             )
             if session is not None:
                 return session
@@ -356,7 +347,6 @@ class Dataspace:
                 seed=seed,
                 name=key,
                 cache_size=cache_size,
-                kernels=kernels,
             )
             session._dataset_id = key
             session._matching = matching
@@ -376,7 +366,6 @@ class Dataspace:
                 seed=seed,
                 name=dataset.dataset_id,
                 cache_size=cache_size,
-                kernels=kernels,
             )
             session._dataset_id = dataset.dataset_id
             session._matching = dataset.matching
@@ -407,7 +396,6 @@ class Dataspace:
         max_failures: int,
         seed: Optional[int],
         cache_size: int,
-        kernels: Union[str, Kernels, None] = None,
     ) -> Optional["Dataspace"]:
         """Try reopening a dataset session from ``store``; ``None`` on a miss.
 
@@ -455,26 +443,20 @@ class Dataspace:
             seed=seed,
             name=dataset_id,
             cache_size=cache_size,
-            kernels=kernels,
         )
         session._dataset_id = dataset_id
         session._adopt_bundle(artifact_store, bundle)
         return session
 
     @classmethod
-    def from_store(
-        cls, store, ref: str, *, kernels: Union[str, Kernels, None] = None
-    ) -> "Dataspace":
+    def from_store(cls, store, ref: str) -> "Dataspace":
         """Reopen a session persisted under ``ref`` — whatever its pedigree.
 
         Unlike the ``store=`` fast path of :meth:`from_dataset` (which falls
         back to a cold build), this constructor has nothing to fall back to,
         so a missing ref or corrupt artifact raises :class:`StoreError`.
         The persisted configuration (``h``, ``method``, ``tau``, block-tree
-        budgets, pinned-artifact flags) is restored verbatim.  ``kernels``
-        selects the reopened session's kernel backend; stored columns are
-        backend-neutral, so a session persisted under one backend reopens
-        under any other with byte-identical answers.
+        budgets, pinned-artifact flags) is restored verbatim.
         """
         artifact_store = ArtifactStore.wrap(store)
         bundle = artifact_store.load_session(ref)
@@ -493,7 +475,6 @@ class Dataspace:
             seed=config.get("seed"),
             name=config.get("name"),
             cache_size=int(config.get("cache_size", 128)),
-            kernels=kernels,
         )
         session._dataset_id = config.get("dataset_id")
         session._pinned_matching = bool(config.get("pinned_matching"))
@@ -570,7 +551,6 @@ class Dataspace:
         seed: Optional[int] = None,
         name: Optional[str] = None,
         cache_size: int = 128,
-        kernels: Union[str, Kernels, None] = None,
     ) -> "Dataspace":
         """Open a session over a pre-computed schema matching.
 
@@ -591,7 +571,6 @@ class Dataspace:
             seed=seed,
             name=name or matching.name,
             cache_size=cache_size,
-            kernels=kernels,
         )
         session._matching = matching
         session._pinned_matching = True
@@ -609,7 +588,6 @@ class Dataspace:
         document_nodes: Optional[int] = None,
         name: Optional[str] = None,
         cache_size: int = 128,
-        kernels: Union[str, Kernels, None] = None,
     ) -> "Dataspace":
         """Open a session over a pre-computed mapping set.
 
@@ -626,7 +604,6 @@ class Dataspace:
             document_nodes=document_nodes,
             name=name,
             cache_size=cache_size,
-            kernels=kernels,
         )
         session._mapping_set = mapping_set
         session._pinned_mapping_set = True
@@ -654,16 +631,6 @@ class Dataspace:
     def matcher_config(self) -> Optional[MatcherConfig]:
         """Matcher override, or ``None`` for the session default."""
         return self._matcher_config
-
-    @property
-    def kernels(self) -> Kernels:
-        """The kernel backend the session's compiled core runs on.
-
-        Fixed at construction (``Dataspace(kernels=...)``); the default is
-        resolved once per process from ``REPRO_KERNELS`` / numpy
-        availability — see :func:`repro.engine.kernels.resolve_kernels`.
-        """
-        return self._kernels
 
     @property
     def dataset_id(self) -> Optional[str]:
@@ -1063,10 +1030,10 @@ class Dataspace:
         mapping_set = self.mapping_set
         if not mapping_set.is_compiled:
             started = time.perf_counter()
-            compiled = mapping_set.compile(self._kernels)
+            compiled = mapping_set.compile()
             self._record_built("compiled", started)
             return compiled
-        return mapping_set.compile(self._kernels)
+        return mapping_set.compile()
 
     # ------------------------------------------------------------------ #
     # Snapshots and shared caches
@@ -1245,7 +1212,7 @@ class Dataspace:
                 "session with store=..."
             )
         snap = self.snapshot(need_tree=False)
-        compiled = snap.mapping_set.compile(self._kernels)
+        compiled = snap.mapping_set.compile()
         with self._layout_lock:
             partitions = {
                 num_shards: layout
@@ -1308,7 +1275,7 @@ class Dataspace:
 
     def relevant_for(
         self, embeddings: list[Embedding], snapshot: Optional[EngineSnapshot] = None
-    ) -> list[Mapping]:
+    ) -> MappingSubset:
         """Relevant mappings for ``embeddings``, via the shared filter cache.
 
         Queries whose embeddings require the same target-element sets have —
@@ -1324,7 +1291,11 @@ class Dataspace:
         those elements, so the relevant-mapping *id list* is provably
         unchanged.  The promoted list is re-anchored to the current mapping
         set (same ids, current :class:`Mapping` objects), so reweighted
-        probabilities are always fresh.
+        probabilities are always fresh; its bitmask carries over unchanged.
+
+        The result is a :class:`~repro.mapping.mapping_set.MappingSubset`:
+        its ``mask`` is the relevant-mapping bitmask the retain check and
+        the compiled evaluator consume.
         """
         snap = snapshot if snapshot is not None else self.snapshot(need_tree=False)
         signature = frozenset(frozenset(embedding.values()) for embedding in embeddings)
@@ -1343,7 +1314,9 @@ class Dataspace:
                 0,
                 required_mask,
                 probability_sensitive=False,
-                transform=lambda rows: [mapping_set[m.mapping_id] for m in rows],
+                transform=lambda rows: MappingSubset(
+                    [mapping_set[m.mapping_id] for m in rows], rows.mask
+                ),
             )
         if relevant is None:
             relevant = self._filter_cache.put(
@@ -1376,7 +1349,8 @@ class Dataspace:
         distinct twig objects are never conflated, even when their text
         coincides.  The per-session prepared-query cache is a bounded LRU,
         so serving arbitrary ad-hoc query texts cannot grow session memory
-        without limit.
+        without limit; a bounded map from each text as given to its
+        canonical key lets a repeated text skip parsing.
         """
         if isinstance(query, TwigQuery):
             # A caller-supplied twig is keyed by identity: its structure may
@@ -1391,8 +1365,12 @@ class Dataspace:
                     key = f"<twig:{next(self._twig_key_counter)}>"
                     self._twig_keys[twig] = key
         else:
+            key = self._canonical_keys.get(query)
+            prepared = self._prepared.get(key) if key is not None else None
+            if prepared is not None:
+                return prepared
             twig = self._as_twig(query)
-            key = canonical_text(twig)
+            key = self._canonical_keys.put(query, canonical_text(twig))
         prepared = self._prepared.get(key)
         if prepared is None:
             # First-writer-wins put: racing preparers all end up sharing the
@@ -1495,6 +1473,7 @@ class Dataspace:
         max_workers: Optional[int] = None,
         executor: Optional["Executor"] = None,
         use_cache: bool = True,
+        timings_ms: Optional[list[float]] = None,
     ) -> list[PTQResult]:
         """Evaluate many queries as one batch, sharing prefix work.
 
@@ -1521,6 +1500,11 @@ class Dataspace:
             pool across batches.
         use_cache:
             Consult/populate the session result cache (default ``True``).
+        timings_ms:
+            When given, extended with each query's own evaluation time in
+            milliseconds, measured in the thread that ran it — one entry per
+            input query, in input order (duplicates report the evaluation
+            they shared).
         """
         prepared = [self.prepare(query) for query in queries]
         if not prepared:
@@ -1537,10 +1521,12 @@ class Dataspace:
         for item in items:
             item.relevant_mappings(snapshot=snap)
 
-        def run_one(item: PreparedQuery) -> PTQResult:
-            return item.execute(k=k, plan=plan, snapshot=snap, use_cache=use_cache)
+        def run_one(item: PreparedQuery) -> tuple[PTQResult, float]:
+            started = time.perf_counter()
+            result = item.execute(k=k, plan=plan, snapshot=snap, use_cache=use_cache)
+            return result, (time.perf_counter() - started) * 1000.0
 
-        results: dict[int, PTQResult]
+        results: dict[int, tuple[PTQResult, float]]
         if executor is not None and len(items) > 1:
             futures = [(id(item), executor.submit(run_one, item)) for item in items]
             results = {key: future.result() for key, future in futures}
@@ -1552,7 +1538,9 @@ class Dataspace:
                 results = {key: future.result() for key, future in futures}
         else:
             results = {id(item): run_one(item) for item in items}
-        return [results[id(item)] for item in prepared]
+        if timings_ms is not None:
+            timings_ms.extend(results[id(item)][1] for item in prepared)
+        return [results[id(item)][0] for item in prepared]
 
     def _default_plan(self) -> Tuple[QueryPlan, str]:
         return plan_for("compiled"), "compiled bitset core (session default)"

@@ -452,21 +452,23 @@ def apply_mapping_delta(
     probability_ids: list[int] = []
     for mapping_id in dirty_ids:
         old = old_mappings[mapping_id]
-        if mapping_id in replaced:
-            new_pairs, score = replaced[mapping_id]
-        elif mapping_id in pair_edits:
-            new_pairs = frozenset(pair_edits[mapping_id])
-            score = max(0.0, old.score + score_shift.get(mapping_id, 0.0))
-        else:
-            new_pairs, score = old.correspondences, old.score
         probability = reweights.get(mapping_id, old.probability)
-        # Mapping.__post_init__ re-validates the one-source/one-target rule.
-        new_mappings[mapping_id] = Mapping(
-            mapping_id=mapping_id,
-            correspondences=new_pairs,
-            score=score,
-            probability=probability,
-        )
+        if mapping_id in replaced or mapping_id in pair_edits:
+            if mapping_id in replaced:
+                new_pairs, score = replaced[mapping_id]
+            else:
+                new_pairs = frozenset(pair_edits[mapping_id])
+                score = max(0.0, old.score + score_shift.get(mapping_id, 0.0))
+            # Mapping.__post_init__ re-validates the one-source/one-target rule.
+            new_mappings[mapping_id] = Mapping(
+                mapping_id=mapping_id,
+                correspondences=new_pairs,
+                score=score,
+                probability=probability,
+            )
+        else:
+            new_pairs = old.correspondences
+            new_mappings[mapping_id] = old.with_probability(probability)
         if new_pairs != old.correspondences:
             changed_pairs[mapping_id] = (old.correspondences, new_pairs)
         if probability != old.probability:

@@ -17,22 +17,16 @@ traffic (every cache-missing execution is measured) or actively through
 :meth:`repro.engine.dataspace.Dataspace.calibrate`.
 
 Worker sizing lives here too: :func:`recommend_scatter_workers` and
-:func:`default_service_workers` size thread pools for the kernel backend in
-use — the numpy kernels release the GIL during their bitset sweeps, so pools
-scale with the machine's cores instead of the fixed GIL-bound sizing the
-executors shipped with.
+:func:`default_service_workers` size the executors' thread pools.  The
+bitset loops hold the GIL, so both keep a small fixed sizing.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.engine.planner.statistics import QueryStatistics, scatter_plan_key
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.kernels import Kernels
 
 __all__ = [
     "COST_MARGIN",
@@ -98,36 +92,17 @@ class PlanDecision:
         return replace(self, cached=True)
 
 
-def _backend_name(kernels: Optional["Kernels"]) -> str:
-    return getattr(kernels, "name", "python")
-
-
-def recommend_scatter_workers(
-    num_shards: int, kernels: Optional["Kernels"] = None
-) -> int:
+def recommend_scatter_workers(num_shards: int) -> int:
     """Thread-pool size for a scatter over ``num_shards`` shard tasks.
 
-    Under the GIL-releasing numpy kernels the pool scales with the machine
-    (two workers per core, capped by the task count plus the spine task);
-    under the pure-Python kernels the original conservative GIL-bound sizing
-    is kept — extra threads would only add contention there.
+    The bitset loops hold the GIL, so extra threads beyond the task count
+    would only add contention: the pool stays between 2 and 8 workers.
     """
-    if _backend_name(kernels) == "numpy":
-        cpus = os.cpu_count() or 2
-        return max(2, min(32, num_shards + 1, 2 * cpus))
     return min(8, max(2, num_shards))
 
 
-def default_service_workers(kernels: Optional["Kernels"] = None) -> int:
-    """Default :class:`~repro.service.QueryService` pool size for a backend.
-
-    Numpy-backed sessions overlap their kernel sweeps across cores, so the
-    service default grows with the machine (never below the historical 8);
-    Python-backed sessions keep the historical fixed default.
-    """
-    if _backend_name(kernels) == "numpy":
-        cpus = os.cpu_count() or 2
-        return max(8, min(32, 4 * cpus))
+def default_service_workers() -> int:
+    """Default :class:`~repro.service.QueryService` pool size (a fixed 8)."""
     return 8
 
 

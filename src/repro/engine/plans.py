@@ -31,7 +31,7 @@ from repro.core.blocktree import BlockTree
 from repro.document.document import XMLDocument
 from repro.exceptions import QueryError
 from repro.mapping.mapping import Mapping
-from repro.mapping.mapping_set import MappingSet
+from repro.mapping.mapping_set import MappingSet, MappingSubset
 from repro.query.ptq import (
     evaluate_resolved_basic,
     evaluate_resolved_blocktree,
@@ -39,7 +39,7 @@ from repro.query.ptq import (
     filter_mappings,
 )
 from repro.query.resolve import Embedding, resolve_query
-from repro.query.results import PTQResult
+from repro.query.results import PTQResult, rank_by_probability
 from repro.query.twig import TwigQuery
 
 __all__ = [
@@ -66,8 +66,7 @@ def select_top_k(relevant: Sequence[Mapping], k: int) -> list[Mapping]:
     """
     if k <= 0:
         raise QueryError(f"k must be positive, got {k}")
-    ordered = sorted(relevant, key=lambda mapping: (-mapping.probability, mapping.mapping_id))
-    return ordered[:k]
+    return rank_by_probability(relevant)[:k]
 
 
 class QueryPlan:
@@ -98,7 +97,6 @@ class QueryPlan:
         relevant: Optional[Iterable[Mapping]] = None,
         mappings: Optional[Iterable[Mapping]] = None,
         k: Optional[int] = None,
-        kernels=None,
     ) -> PTQResult:
         """Full pipeline: resolve and filter (unless pre-computed), then evaluate.
 
@@ -114,16 +112,13 @@ class QueryPlan:
         relevant:
             Pre-filtered relevant mappings (from :func:`filter_mappings`
             over the whole mapping set); computed here when omitted.  Any
-            iterable is accepted and materialised once.
+            iterable is accepted and materialised once; a
+            :class:`~repro.mapping.mapping_set.MappingSubset` is used as is.
         mappings:
             Explicit candidate subset (any iterable); overrides ``relevant``
             and is re-filtered, mirroring the seed free functions.
         k:
             Optional top-k restriction (Definition 5).
-        kernels:
-            Kernel-backend selection for plans with :attr:`uses_compiled`
-            (see :func:`repro.engine.kernels.resolve_kernels`); ignored by
-            the object-graph plans.  Answers never depend on the backend.
         """
         if k is not None and k <= 0:
             raise QueryError(f"k must be positive, got {k}")
@@ -135,6 +130,9 @@ class QueryPlan:
         # them raw (it would silently drain after the first embedding).
         if mappings is not None:
             selected: Sequence[Mapping] = filter_mappings(mappings, embeddings)
+        elif isinstance(relevant, MappingSubset):
+            # Already concrete and carrying its mask for the compiled plan.
+            selected = relevant
         elif relevant is not None:
             selected = list(relevant)
         else:
@@ -142,7 +140,7 @@ class QueryPlan:
         if k is not None:
             selected = select_top_k(selected, k)
         return self.evaluate(
-            query, mapping_set, document, embeddings, selected, block_tree, kernels
+            query, mapping_set, document, embeddings, selected, block_tree
         )
 
     def evaluate(
@@ -153,7 +151,6 @@ class QueryPlan:
         embeddings: list[Embedding],
         mappings: Sequence[Mapping],
         block_tree: Optional[BlockTree],
-        kernels=None,
     ) -> PTQResult:
         """Evaluate over pre-resolved embeddings and pre-filtered mappings."""
         raise NotImplementedError
@@ -166,7 +163,7 @@ class BasicPlan(QueryPlan):
     uses_block_tree = False
 
     def evaluate(
-        self, query, mapping_set, document, embeddings, mappings, block_tree, kernels=None
+        self, query, mapping_set, document, embeddings, mappings, block_tree
     ):
         """Delegate to :func:`repro.query.ptq.evaluate_resolved_basic`."""
         return evaluate_resolved_basic(query, mapping_set, document, embeddings, mappings)
@@ -179,7 +176,7 @@ class BlockTreePlan(QueryPlan):
     uses_block_tree = True
 
     def evaluate(
-        self, query, mapping_set, document, embeddings, mappings, block_tree, kernels=None
+        self, query, mapping_set, document, embeddings, mappings, block_tree
     ):
         """Delegate to :func:`repro.query.ptq.evaluate_resolved_blocktree`."""
         if block_tree is None:
@@ -203,11 +200,11 @@ class CompiledPlan(QueryPlan):
     uses_compiled = True
 
     def evaluate(
-        self, query, mapping_set, document, embeddings, mappings, block_tree, kernels=None
+        self, query, mapping_set, document, embeddings, mappings, block_tree
     ):
         """Delegate to :func:`repro.query.ptq.evaluate_resolved_compiled`."""
         return evaluate_resolved_compiled(
-            query, mapping_set, document, embeddings, mappings, kernels
+            query, mapping_set, document, embeddings, mappings
         )
 
 
@@ -379,8 +376,7 @@ class ExplainReport:
                 f"{stats.get('num_rewrite_groups', 0)} groups "
                 f"(saved {stats.get('evaluations_saved', 0)} evaluations; "
                 f"{stats.get('num_posting_lists', 0)} posting lists, "
-                f"{stats.get('bitset_bytes', 0)} B bitsets; "
-                f"{stats.get('kernel_backend', 'python')} kernels)"
+                f"{stats.get('bitset_bytes', 0)} B bitsets)"
             )
         if self.planner is not None:
             estimates = ", ".join(

@@ -40,8 +40,7 @@ from repro.engine.plans import (
     plan_for,
     select_top_k,
 )
-from repro.mapping.mapping import Mapping
-from repro.mapping.mapping_set import mapping_mask
+from repro.mapping.mapping_set import MappingSubset
 from repro.query.resolve import Embedding, resolve_query
 from repro.query.results import PTQResult
 from repro.query.twig import TwigQuery
@@ -83,7 +82,7 @@ class PreparedQuery:
         self._target_mask: Optional[int] = None
         # Keyed by (generation, delta_epoch): a delta can change which
         # mappings are relevant, so the memo is per mapping-set *state*.
-        self._relevant_by_generation: "OrderedDict[tuple[int, int], list[Mapping]]" = (
+        self._relevant_by_generation: "OrderedDict[tuple[int, int], MappingSubset]" = (
             OrderedDict()
         )
         #: Number of times the resolve stage ran (never more than once).
@@ -126,8 +125,8 @@ class PreparedQuery:
 
     def relevant_mappings(
         self, snapshot: Optional["EngineSnapshot"] = None
-    ) -> list[Mapping]:
-        """Relevant mappings, refreshed once per mapping-set state.
+    ) -> MappingSubset:
+        """Relevant mappings (with their bitmask), refreshed once per mapping-set state.
 
         The memo key is ``(generation, delta_epoch)``: a full invalidation
         *and* an applied delta both refresh the filter step.  Delegates the
@@ -279,7 +278,7 @@ class PreparedQuery:
                 # target elements (one bitwise AND each).
                 cached = cache.retain(
                     key,
-                    mapping_mask(m.mapping_id for m in relevant),
+                    relevant.mask,
                     self.required_target_mask(),
                 )
             if cached is not None:
@@ -294,7 +293,6 @@ class PreparedQuery:
             embeddings=self.embeddings,
             relevant=relevant,
             k=k,
-            kernels=ds.kernels,
         )
         ds.planner.observe_execution(
             self._cache_key,
@@ -369,7 +367,7 @@ class PreparedQuery:
             if result is None:
                 result = cache.retain(
                     key,
-                    mapping_mask(m.mapping_id for m in relevant),
+                    relevant.mask,
                     self.required_target_mask(),
                 )
                 if result is not None:
@@ -384,7 +382,6 @@ class PreparedQuery:
                 embeddings=embeddings,
                 relevant=relevant,
                 k=k,
-                kernels=ds.kernels,
             )
             if cache is not None:
                 result = cache.put(key, result)
@@ -410,7 +407,7 @@ class PreparedQuery:
         compiled_stats = None
         if chosen.uses_compiled:
             selected = relevant if k is None else select_top_k(relevant, k)
-            compiled_stats = snap.mapping_set.compile(ds.kernels).rewrite_stats(
+            compiled_stats = snap.mapping_set.compile().rewrite_stats(
                 embeddings, selected
             )
             distinct = compiled_stats.get("num_distinct_rewrites")

@@ -28,6 +28,7 @@ module turns ``apply_delta`` into a production write path with two pieces:
   **unaffected**            masks AND dirt == 0 — two integer ANDs, no work
   **reweight-only**         probability column dirty, structure clean at the
                             query's required targets — rescore cached rows
+                            (and build top-k entrants from the match table)
                             and emit changed entries only, no re-execution
   **structural**            required-target structure dirty — re-execute via
                             the normal cost-routed path and diff
@@ -37,8 +38,23 @@ module turns ``apply_delta`` into a production write path with two pieces:
   rescored rows) with the guarantee that replaying the stream onto the
   initial result set (:func:`apply_update`) reproduces, byte for byte, what
   re-executing the standing query from scratch at the new epoch returns —
-  the differential property the streaming test harness pins across plans,
-  kernel backends and shard counts.
+  the differential property the streaming test harness pins across plans
+  and shard counts.
+
+Shared evaluation and the match table
+-------------------------------------
+A top-k result is a slice of the full PTQ result: its rows are the first k
+answers of the full result, which is already ordered by (-probability,
+mapping id) exactly as top-k selection orders the relevant mappings.  So
+every standing query of one prepared query takes its rows from **one**
+full (``k=None``) evaluation per notice, shared through the notice-scoped
+memo, and keeps that evaluation's ``mapping id -> matches`` *match table*
+for every relevant mapping.  A probability-only change cannot change any
+row's matches, so a reweight that moves new mappings into a top k builds
+their rows from the patched probability column and the table — no plan
+run and no twig matching.  One table is shared per prepared query and
+state (standing queries of the same query at the same state hold the same
+dict), so its memory is bounded by the query's relevant-mapping count.
 
 Lifecycle and delivery contract
 -------------------------------
@@ -61,7 +77,7 @@ import itertools
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.engine.delta import (
     DeltaReport,
@@ -69,10 +85,9 @@ from repro.engine.delta import (
     apply_mapping_delta,
     target_mask_of,
 )
-from repro.engine.plans import plan_for, select_top_k
 from repro.exceptions import MappingError, QueryError
-from repro.mapping.mapping_set import MappingSet, mapping_mask
-from repro.query.results import PTQAnswer
+from repro.mapping.mapping_set import MappingSet, iter_mapping_ids, mapping_mask
+from repro.query.results import CanonicalMatch, PTQAnswer, PTQResult, rank_by_probability
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.dataspace import Dataspace, EngineSnapshot
@@ -95,11 +110,8 @@ __all__ = [
 #: query lagging further behind is conservatively re-executed (structural).
 _MAX_NOTIFY_LOG = 64
 
-#: Sort key of update rows: most probable first, ties by mapping id — the
-#: same order :class:`~repro.query.results.PTQResult` imposes on answers.
-def _row_order(row: PTQAnswer) -> tuple[float, int]:
-    """Sort key ordering answer rows like ``PTQResult`` does."""
-    return (-row.probability, row.mapping_id)
+#: A standing query's match table: mapping id -> matches, every relevant mapping.
+MatchTable = dict[int, frozenset[CanonicalMatch]]
 
 
 # --------------------------------------------------------------------------- #
@@ -370,7 +382,7 @@ def apply_update(
             )
     for row in update.added:
         by_id[row.mapping_id] = row
-    return sorted(by_id.values(), key=_row_order)
+    return rank_by_probability(by_id.values())
 
 
 # --------------------------------------------------------------------------- #
@@ -380,18 +392,19 @@ class _StandingQuery:
     """Registry-internal state of one registered (query, k) pair.
 
     All mutable fields are guarded by the registry's table lock.
-    ``baseline`` maps mapping id to the row the subscribers currently hold;
-    ``relevant_ids`` / ``relevant_mask`` cache the filter prefix (refreshed
-    on structural updates) and ``required_mask`` the target elements the
-    query's embeddings need — the two integers the unaffected check ANDs.
+    ``baseline`` maps mapping id to the row the subscribers currently hold
+    (owned by this standing query: the reweight path edits it in place);
+    ``table`` is the :class:`_MatchTable` shared with the other standing
+    queries of the same query and state, and ``required_mask`` the target
+    elements the query's embeddings need; the table's relevant mask and
+    ``required_mask`` are the two integers the unaffected check ANDs.
     """
 
     __slots__ = (
         "prepared",
         "k",
         "key",
-        "relevant_ids",
-        "relevant_mask",
+        "table",
         "required_mask",
         "baseline",
         "last_epoch",
@@ -405,7 +418,7 @@ class _StandingQuery:
         prepared: "PreparedQuery",
         k: Optional[int],
         key: tuple[str, Optional[int]],
-        relevant_ids: tuple[int, ...],
+        table: _MatchTable,
         required_mask: int,
         baseline: dict[int, PTQAnswer],
         last_epoch: int,
@@ -415,14 +428,42 @@ class _StandingQuery:
         self.prepared = prepared
         self.k = k
         self.key = key
-        self.relevant_ids = relevant_ids
-        self.relevant_mask = mapping_mask(relevant_ids)
+        self.table = table
         self.required_mask = required_mask
         self.baseline = baseline
         self.last_epoch = last_epoch
         self.generation = generation
         self.document_version = document_version
         self.subscribers: dict[int, "Subscription"] = {}
+
+
+class _MatchTable:
+    """The structural part of a standing query's state, shared per query and state.
+
+    ``matches`` maps every relevant mapping's id to its match set;
+    ``relevant_ids`` / ``relevant_mask`` are the relevant mappings in
+    ascending id order and as a bitmask.  Probability-only changes leave all
+    three exact, so a table outlives reweight notices and is replaced only
+    by a structural one.  Treated as immutable.
+    """
+
+    __slots__ = ("matches", "relevant_ids", "relevant_mask")
+
+    def __init__(self, result: PTQResult, relevant_mask: int) -> None:
+        self.matches: MatchTable = {row.mapping_id: row.matches for row in result.answers}
+        self.relevant_mask = relevant_mask
+        self.relevant_ids = tuple(iter_mapping_ids(relevant_mask))
+
+
+def _top_rows(result: PTQResult, k: Optional[int]) -> dict[int, PTQAnswer]:
+    """A fresh baseline dict: the first ``k`` answers of a full result (all when ``None``).
+
+    The full result's answers are ordered by (-probability, mapping id),
+    exactly as top-k selection orders the relevant mappings, so its first
+    ``k`` rows are the top-k result.
+    """
+    answers = result.answers if k is None else result.answers[:k]
+    return {row.mapping_id: row for row in answers}
 
 
 class Subscription:
@@ -556,11 +597,12 @@ class SubscriptionRegistry:
     ) -> Subscription:
         """Register a standing query; returns the live :class:`Subscription`.
 
-        The query is prepared (and keyed) by its canonical text, executed
-        once as the baseline, and the ``initial`` update is delivered to
-        ``callback`` before this method returns.  A second subscriber to an
-        already-standing (query, k) pair shares the standing query's state
-        and receives an ``initial`` built from it — no re-execution.
+        The query is prepared (and keyed) by its canonical text and
+        executed in full (``k=None``, through the result cache); a top-k
+        baseline is the first ``k`` rows of that result.  The ``initial``
+        update is delivered to ``callback`` before this method returns.  A
+        second subscriber to an already-standing (query, k) pair shares the
+        standing query's state and receives an ``initial`` built from it.
 
         Raises
         ------
@@ -572,9 +614,8 @@ class SubscriptionRegistry:
         ds = self._dataspace
         prepared = ds.prepare(query)
         snap = ds.snapshot(need_tree=False)
-        baseline = prepared.execute(k=k, snapshot=snap, use_cache=True)
-        relevant = prepared.relevant_mappings(snap)
-        required_mask = prepared.required_target_mask()
+        result = prepared.execute(k=None, snapshot=snap, use_cache=True)
+        relevant_mask = prepared.relevant_mappings(snap).mask
         key = (prepared.cache_key, k)
         with self._table_lock:
             standing = self._table.get(key)
@@ -584,9 +625,10 @@ class SubscriptionRegistry:
                     prepared=prepared,
                     k=k,
                     key=key,
-                    relevant_ids=tuple(m.mapping_id for m in relevant),
-                    required_mask=required_mask,
-                    baseline={row.mapping_id: row for row in baseline.answers},
+                    table=self._sibling_table(prepared, snap)
+                    or _MatchTable(result, relevant_mask),
+                    required_mask=prepared.required_target_mask(),
+                    baseline=_top_rows(result, k),
                     last_epoch=snap.delta_epoch,
                     generation=snap.generation,
                     document_version=snap.document_version,
@@ -602,7 +644,7 @@ class SubscriptionRegistry:
                 kind="initial",
                 generation=standing.generation,
                 delta_epoch=standing.last_epoch,
-                added=tuple(sorted(standing.baseline.values(), key=_row_order)),
+                added=tuple(rank_by_probability(standing.baseline.values())),
             )
             handle._record(initial)
             self._deliver_one(handle, initial)
@@ -631,6 +673,42 @@ class SubscriptionRegistry:
                     )
         self.drain()
         return handle
+
+    def _evaluate(
+        self, prepared: "PreparedQuery", snapshot: "EngineSnapshot", memo: Optional[dict]
+    ) -> tuple[PTQResult, _MatchTable]:
+        """The full result of ``prepared`` at ``snapshot`` and its match table.
+
+        Runs the normal cost-routed, result-cached ``execute`` at ``k=None``
+        once per notice: every standing query of ``prepared`` processed
+        under the same notice-scoped ``memo`` shares the result and table.
+        """
+        memo_key = ("evaluation", prepared.cache_key)
+        shared = memo.get(memo_key) if memo is not None else None
+        if shared is None:
+            result = prepared.execute(k=None, snapshot=snapshot, use_cache=True)
+            shared = (result, _MatchTable(result, prepared.relevant_mappings(snapshot).mask))
+            if memo is not None:
+                memo[memo_key] = shared
+        return shared
+
+    def _sibling_table(
+        self, prepared: "PreparedQuery", snapshot: "EngineSnapshot"
+    ) -> Optional[_MatchTable]:
+        """The match table a standing query of ``prepared`` holds at ``snapshot``'s state.
+
+        Lets a new (query, k) registration share the table instead of
+        holding its own copy.  Called under the table lock.
+        """
+        for standing in self._table.values():
+            if (
+                standing.prepared is prepared
+                and standing.last_epoch == snapshot.delta_epoch
+                and standing.generation == snapshot.generation
+                and standing.document_version == snapshot.document_version
+            ):
+                return standing.table
+        return None
 
     def _cancel(self, standing: _StandingQuery, subscription_id: int) -> bool:
         """Detach one subscriber; drop the standing query when it empties."""
@@ -722,8 +800,9 @@ class SubscriptionRegistry:
             "callback_errors": 0,
             "update_errors": 0,
         }
-        # Standing queries over the same relevant set share their top-k
-        # reselection for this notice (see _reweight_update).
+        # Standing queries of the same query share one full evaluation, and
+        # those over the same relevant set one top-k reselection, per notice
+        # (see _evaluate and _top_ids).
         memo: dict = {}
         with self._table_lock:
             for standing in list(self._table.values()):
@@ -780,7 +859,7 @@ class SubscriptionRegistry:
         probability_dirt, target_dirt = dirt
         if target_dirt & standing.required_mask:
             return "structural", 0
-        if probability_dirt & standing.relevant_mask:
+        if probability_dirt & standing.table.relevant_mask:
             return "reweight", probability_dirt
         return "unaffected", 0
 
@@ -793,9 +872,10 @@ class SubscriptionRegistry:
     ) -> None:
         """Move one standing query to ``notice``'s state, delivering its diff.
 
-        ``memo`` is the notice-scoped reselection cache shared by every
-        standing query processed for the same notice; ``counts`` is the
-        notice-local statistics accumulator (see :meth:`_process`).
+        ``memo`` is the notice-scoped cache of full evaluations and top-k
+        reselections shared by every standing query processed for the same
+        notice; ``counts`` is the notice-local statistics accumulator (see
+        :meth:`_process`).
         """
         if notice.epoch <= standing.last_epoch:
             return
@@ -815,7 +895,7 @@ class SubscriptionRegistry:
             )
             self._count(counts, "reweight_only")
         else:
-            update = self._structural_update(standing, notice, sole_id)
+            update = self._structural_update(standing, notice, sole_id, memo)
             self._count(counts, "structural")
         standing.last_epoch = notice.epoch
         standing.generation = notice.generation
@@ -853,6 +933,56 @@ class SubscriptionRegistry:
         except Exception:
             self._count(counts, "callback_errors")
 
+    def _top_ids(
+        self,
+        standing: _StandingQuery,
+        probabilities: Sequence[float],
+        memo: Optional[dict],
+    ) -> list[int]:
+        """The ``k`` most probable relevant mapping ids, ordered like top-k selection.
+
+        The relevant ids ascend, and a stable descending sort by probability
+        keeps ties in ascending id order: exactly ``(-probability, id)``.
+        The full order is memoized per relevant set for the notice, so
+        standing queries over the same relevant set sort once for every k.
+        """
+        table = standing.table
+        memo_key = ("order", table.relevant_mask)
+        order = memo.get(memo_key) if memo is not None else None
+        if order is None:
+            order = sorted(table.relevant_ids, key=probabilities.__getitem__, reverse=True)
+            if memo is not None:
+                memo[memo_key] = order
+        return order[: standing.k]
+
+    def _rescored_rows(
+        self,
+        table: _MatchTable,
+        probability_dirt: int,
+        probabilities: Sequence[float],
+        memo: Optional[dict],
+    ) -> list[PTQAnswer]:
+        """Rows of the dirty relevant mappings at their new probabilities.
+
+        Built once per table and dirt for the notice, so the standing
+        queries of one query share the row objects.
+        """
+        memo_key = ("rescore", id(table), probability_dirt)
+        rows = memo.get(memo_key) if memo is not None else None
+        if rows is None:
+            matches = table.matches
+            rows = [
+                PTQAnswer(
+                    mapping_id=mapping_id,
+                    probability=probabilities[mapping_id],
+                    matches=matches[mapping_id],
+                )
+                for mapping_id in iter_mapping_ids(probability_dirt & table.relevant_mask)
+            ]
+            if memo is not None:
+                memo[memo_key] = rows
+        return rows
+
     def _reweight_update(
         self,
         standing: _StandingQuery,
@@ -861,138 +991,57 @@ class SubscriptionRegistry:
         subscription_id: int = 0,
         memo: Optional[dict] = None,
     ) -> SubscriptionUpdate:
-        """Rescore cached rows from the new probability column; no re-execution.
+        """Rescore rows from the new probability column; no re-execution.
 
         Structure at the query's required targets is provably clean, so
-        every cached row's match set is still exact and the relevant-mapping
-        id set is unchanged; only probabilities (and, under a top-k
-        restriction, the top-k membership) can move.  Only mappings flagged
-        in ``probability_dirt`` can have moved, so the unrestricted rescore
-        walks exactly the dirty rows instead of scanning the whole baseline,
-        and both paths read the incrementally-patched compiled probability
-        column when one is available.  Top-k entrants — rows newly selected
-        into the top k — are the only thing evaluated, via one compiled-plan
-        run restricted to exactly those mappings.
+        every row's match set is still exact and the relevant-mapping id set
+        is unchanged; only probabilities (and, under a top-k restriction,
+        the top-k membership) can move.  While the membership holds, only
+        mappings flagged in ``probability_dirt`` can have moved, so the
+        rescore walks exactly the dirty rows.  Top-k entrants — rows newly
+        selected into the top k — are built from the probability column and
+        the shared match table; nothing is evaluated.
         """
         mapping_set = notice.snapshot.mapping_set
         compiled = mapping_set._compiled
+        probabilities: Sequence[float] = (
+            compiled.probabilities
+            if compiled is not None
+            else [mapping.probability for mapping in mapping_set]
+        )
+        old = standing.baseline
         removed: tuple[int, ...] = ()
         added: list[PTQAnswer] = []
         rescored: list[tuple[int, float]] = []
-        if standing.k is None:
-            baseline = standing.baseline
-            dirty = probability_dirt
-            while dirty:
-                low_bit = dirty & -dirty
-                dirty ^= low_bit
-                mapping_id = low_bit.bit_length() - 1
-                row = baseline.get(mapping_id)
-                if row is None:
-                    continue
-                probability = (
-                    compiled.probabilities[mapping_id]
-                    if compiled is not None
-                    else mapping_set[mapping_id].probability
-                )
-                if probability != row.probability:
-                    baseline[mapping_id] = PTQAnswer(
-                        mapping_id=mapping_id,
-                        probability=probability,
-                        matches=row.matches,
-                    )
-                    rescored.append((mapping_id, probability))
+        new_ids: list[int] = []
+        if standing.k is not None:
+            new_ids = self._top_ids(standing, probabilities, memo)
+        stable = standing.k is None or old.keys() == set(new_ids)
+        if stable:
+            for row in self._rescored_rows(standing.table, probability_dirt, probabilities, memo):
+                current = old.get(row.mapping_id)
+                if current is not None and current.probability != row.probability:
+                    old[row.mapping_id] = row
+                    rescored.append((row.mapping_id, row.probability))
         else:
-            if compiled is not None:
-                probabilities = compiled.probabilities
-                # Standing queries sharing a relevant set and k reuse one
-                # reselection per notice (memo is scoped to one _process).
-                memo_key = (standing.relevant_ids, standing.k)
-                new_ids = memo.get(memo_key) if memo is not None else None
-                if new_ids is None:
-                    new_ids = sorted(
-                        standing.relevant_ids,
-                        key=lambda mid: (-probabilities[mid], mid),
-                    )[: standing.k]
-                    if memo is not None:
-                        memo[memo_key] = new_ids
-
-                def probability_of(mapping_id: int) -> float:
-                    """Probability from the patched compiled column."""
-                    return probabilities[mapping_id]
-
-            else:
-                fresh = [
-                    mapping_set[mapping_id] for mapping_id in standing.relevant_ids
-                ]
-                new_ids = [
-                    mapping.mapping_id
-                    for mapping in select_top_k(fresh, standing.k)
-                ]
-
-                def probability_of(mapping_id: int) -> float:
-                    """Probability from the uncompiled mapping objects."""
-                    return mapping_set[mapping_id].probability
-
-            old = standing.baseline
-            entrant_ids = [mapping_id for mapping_id in new_ids if mapping_id not in old]
-            if not entrant_ids and len(new_ids) == len(old):
-                # Stable membership (no entrants, so new_ids is a subset of
-                # the old top k; equal sizes make it the same set): rescore
-                # the dirty rows in place exactly like the unrestricted path.
-                dirty = probability_dirt
-                while dirty:
-                    low_bit = dirty & -dirty
-                    dirty ^= low_bit
-                    mapping_id = low_bit.bit_length() - 1
-                    row = old.get(mapping_id)
-                    if row is None:
-                        continue
-                    probability = probability_of(mapping_id)
-                    if probability != row.probability:
-                        old[mapping_id] = PTQAnswer(
-                            mapping_id=mapping_id,
-                            probability=probability,
-                            matches=row.matches,
-                        )
-                        rescored.append((mapping_id, probability))
-                return SubscriptionUpdate(
-                    subscription_id=subscription_id,
-                    query=standing.prepared.cache_key,
-                    k=standing.k,
-                    kind="reweight",
-                    generation=notice.generation,
-                    delta_epoch=notice.epoch,
-                    added=(),
-                    removed=(),
-                    rescored=tuple(sorted(rescored)),
-                )
-            entrant_rows: dict[int, PTQAnswer] = {}
-            if entrant_ids:
-                result = plan_for("compiled").run(
-                    standing.prepared.query,
-                    mapping_set,
-                    notice.snapshot.document,
-                    embeddings=standing.prepared.embeddings,
-                    mappings=[mapping_set[mapping_id] for mapping_id in entrant_ids],
-                    kernels=self._dataspace.kernels,
-                )
-                entrant_rows = {row.mapping_id: row for row in result}
-            removed = tuple(sorted(set(old) - set(new_ids)))
+            matches = standing.table.matches
+            removed = tuple(sorted(set(old).difference(new_ids)))
             new_baseline: dict[int, PTQAnswer] = {}
             for mapping_id in new_ids:
-                if mapping_id in old:
-                    row = old[mapping_id]
-                    probability = probability_of(mapping_id)
-                    if probability != row.probability:
-                        row = PTQAnswer(
-                            mapping_id=mapping_id,
-                            probability=probability,
-                            matches=row.matches,
-                        )
-                        rescored.append((mapping_id, probability))
-                else:
-                    row = entrant_rows[mapping_id]
+                probability = probabilities[mapping_id]
+                row = old.get(mapping_id)
+                if row is None:
+                    row = PTQAnswer(
+                        mapping_id=mapping_id,
+                        probability=probability,
+                        matches=matches[mapping_id],
+                    )
                     added.append(row)
+                elif probability != row.probability:
+                    row = PTQAnswer(
+                        mapping_id=mapping_id, probability=probability, matches=row.matches
+                    )
+                    rescored.append((mapping_id, probability))
                 new_baseline[mapping_id] = row
             standing.baseline = new_baseline
         return SubscriptionUpdate(
@@ -1002,7 +1051,7 @@ class SubscriptionRegistry:
             kind="reweight",
             generation=notice.generation,
             delta_epoch=notice.epoch,
-            added=tuple(sorted(added, key=_row_order)),
+            added=tuple(rank_by_probability(added)),
             removed=removed,
             rescored=tuple(sorted(rescored)),
         )
@@ -1012,15 +1061,11 @@ class SubscriptionRegistry:
         standing: _StandingQuery,
         notice: _Notice,
         subscription_id: int = 0,
+        memo: Optional[dict] = None,
     ) -> SubscriptionUpdate:
-        """Re-execute via the normal cost-routed path and diff against baseline."""
-        result = standing.prepared.execute(
-            k=standing.k, snapshot=notice.snapshot, use_cache=True
-        )
-        relevant = standing.prepared.relevant_mappings(notice.snapshot)
-        standing.relevant_ids = tuple(m.mapping_id for m in relevant)
-        standing.relevant_mask = mapping_mask(standing.relevant_ids)
-        rows = {row.mapping_id: row for row in result.answers}
+        """Take rows from the shared full re-execution and diff against baseline."""
+        result, standing.table = self._evaluate(standing.prepared, notice.snapshot, memo)
+        rows = _top_rows(result, standing.k)
         old = standing.baseline
         removed = tuple(sorted(set(old) - set(rows)))
         added: list[PTQAnswer] = []
@@ -1039,7 +1084,7 @@ class SubscriptionRegistry:
             kind="structural",
             generation=notice.generation,
             delta_epoch=notice.epoch,
-            added=tuple(sorted(added, key=_row_order)),
+            added=tuple(rank_by_probability(added)),
             removed=removed,
             rescored=tuple(sorted(rescored)),
         )

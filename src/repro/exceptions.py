@@ -159,7 +159,12 @@ class StoreError(ReproError):
 
 
 class KernelError(ReproError):
-    """Raised for unknown or unavailable kernel backends (:mod:`repro.engine.kernels`)."""
+    """Reserved: formerly raised for unknown or unavailable kernel backends.
+
+    The compiled core now has a single built-in implementation, so nothing
+    raises this any more.  The class and its ``kernel`` wire code stay in the
+    published error registry so existing clients keep decoding it.
+    """
 
     code = "kernel"
 

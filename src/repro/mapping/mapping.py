@@ -10,6 +10,11 @@ from repro.matching.correspondence import CorrespondenceKey
 __all__ = ["Mapping"]
 
 
+def _check_probability(probability: float) -> None:
+    if not (0.0 <= probability <= 1.0 + 1e-9):
+        raise MappingError(f"mapping probability must be in [0, 1], got {probability!r}")
+
+
 @dataclass(frozen=True)
 class Mapping:
     """One possible mapping ``m_i`` of a schema matching.
@@ -44,10 +49,7 @@ class Mapping:
     def __post_init__(self) -> None:
         if self.score < 0:
             raise MappingError(f"mapping score must be non-negative, got {self.score!r}")
-        if not (0.0 <= self.probability <= 1.0 + 1e-9):
-            raise MappingError(
-                f"mapping probability must be in [0, 1], got {self.probability!r}"
-            )
+        _check_probability(self.probability)
         source_ids = [source_id for source_id, _ in self.correspondences]
         target_ids = [target_id for _, target_id in self.correspondences]
         if len(set(source_ids)) != len(source_ids):
@@ -101,13 +103,16 @@ class Mapping:
         return intersection / union
 
     def with_probability(self, probability: float) -> "Mapping":
-        """Return a copy of this mapping carrying ``probability``."""
-        return Mapping(
-            mapping_id=self.mapping_id,
-            correspondences=self.correspondences,
-            score=self.score,
-            probability=probability,
-        )
+        """Return a copy of this mapping carrying ``probability``.
+
+        The correspondences are unchanged and were validated when this
+        mapping was built, so only the probability is checked, and the copy
+        shares the (read-only) target index instead of rebuilding it.
+        """
+        _check_probability(probability)
+        copy = object.__new__(Mapping)
+        copy.__dict__.update(self.__dict__, probability=probability)
+        return copy
 
     def __repr__(self) -> str:
         return (

@@ -5,7 +5,9 @@ Besides the object model, this module hosts the two primitive bitset helpers
 evaluation core (:mod:`repro.engine.compiled`), the block tree and the PTQ
 evaluators: a set of mapping ids is encoded as a Python int with bit ``i``
 set iff mapping ``i`` is a member, so set algebra over mappings becomes
-single bitwise AND/OR/popcount operations.
+single bitwise AND/OR/popcount operations.  :class:`MappingSubset` is a
+mapping list that carries that bitmask with it, so a relevant-mapping set
+built from a mask never has to be converted back.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.matching.matching import SchemaMatching
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.compiled import CompiledMappingSet
 
-__all__ = ["MappingSet", "mapping_mask", "iter_mapping_ids"]
+__all__ = ["MappingSet", "MappingSubset", "mapping_mask", "iter_mapping_ids"]
 
 
 def mapping_mask(mapping_ids: Iterable[int]) -> int:
@@ -38,6 +40,26 @@ def iter_mapping_ids(mask: int) -> Iterator[int]:
         low_bit = mask & -mask
         yield low_bit.bit_length() - 1
         mask ^= low_bit
+
+
+class MappingSubset(list):
+    """Mappings in ascending-id order, carrying their id bitmask as ``mask``.
+
+    A plain :class:`list` in every other respect.  The relevant-mapping sets
+    the engine derives from bitmasks (``filter_mappings`` over a compiled
+    set, the session's filter cache) are built as subsets, so consumers that
+    need the mask — cache retention, the compiled evaluator — read it
+    instead of rebuilding it from the ids.  ``mask`` must equal
+    ``mapping_mask(m.mapping_id for m in subset)``; the subset is treated as
+    read-only.
+    """
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mappings: Iterable[Mapping] = (), mask: int = 0) -> None:
+        super().__init__(mappings)
+        self.mask = mask
+
 
 #: Estimated storage cost of one correspondence (two element ids + a score),
 #: used by the compression-ratio metric.  The exact constant does not matter;
@@ -90,11 +112,8 @@ class MappingSet:
         # Compiled bitset view (repro.engine.compiled), built lazily on first
         # use and memoized for the set's lifetime: a MappingSet is immutable,
         # so the engine's generation machinery (which swaps whole sets on
-        # invalidation) also governs the compiled artifact.  Kernel-backend
-        # variants of the artifact (same neutral columns, different backend)
-        # are memoized alongside it by backend name.
+        # invalidation) also governs the compiled artifact.
         self._compiled: "CompiledMappingSet | None" = None
-        self._compiled_variants: dict[str, "CompiledMappingSet"] = {}
         self._compiled_lock = threading.Lock()
 
     @classmethod
@@ -112,7 +131,6 @@ class MappingSet:
         self.matching = matching
         self._mappings = list(mappings)
         self._compiled = None
-        self._compiled_variants = {}
         self._compiled_lock = threading.Lock()
         return self
 
@@ -155,41 +173,21 @@ class MappingSet:
     # ------------------------------------------------------------------ #
     # Compiled bitset view
     # ------------------------------------------------------------------ #
-    def compile(self, kernels=None) -> "CompiledMappingSet":
+    def compile(self) -> "CompiledMappingSet":
         """Lower the set into the compiled bitset representation (memoized).
 
         The first call builds a :class:`~repro.engine.compiled.CompiledMappingSet`
         — per-correspondence posting lists, per-target source partitions and a
         probability column, all encoded as Python-int bitmasks — and caches it
         on the set; later calls (from any thread) return the same object.
-
-        ``kernels`` selects the kernel backend the artifact's hot loops run
-        on (a :class:`~repro.engine.kernels.Kernels` instance, a backend
-        name, or ``None`` for the process default — see
-        :func:`repro.engine.kernels.resolve_kernels`).  Requesting a backend
-        other than the memoized artifact's returns a memoized *variant*
-        sharing the same neutral columns, so mixed-backend sessions over one
-        set never recompile.
         """
         if self._compiled is None:
             from repro.engine.compiled import CompiledMappingSet
 
             with self._compiled_lock:
                 if self._compiled is None:
-                    self._compiled = CompiledMappingSet(self, kernels)
-        if kernels is None:
-            return self._compiled
-        from repro.engine.kernels import resolve_kernels
-
-        resolved = resolve_kernels(kernels)
-        if resolved is self._compiled.kernels:
-            return self._compiled
-        with self._compiled_lock:
-            variant = self._compiled_variants.get(resolved.name)
-            if variant is None or variant.kernels is not resolved:
-                variant = self._compiled.with_kernels(resolved)
-                self._compiled_variants[resolved.name] = variant
-            return variant
+                    self._compiled = CompiledMappingSet(self)
+        return self._compiled
 
     @property
     def is_compiled(self) -> bool:
@@ -218,8 +216,9 @@ class MappingSet:
         """Return the ``k`` mappings with the highest probabilities."""
         if k <= 0:
             raise MappingError(f"k must be positive, got {k}")
-        ranked = sorted(self._mappings, key=lambda m: (-m.probability, m.mapping_id))
-        return ranked[:k]
+        from repro.query.results import rank_by_probability
+
+        return rank_by_probability(self._mappings)[:k]
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -25,13 +25,19 @@ contents.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Optional, Sequence
 
 from repro.core.blocktree import BlockTree
 from repro.document.document import XMLDocument
 from repro.exceptions import QueryError
 from repro.mapping.mapping import Mapping
-from repro.mapping.mapping_set import MappingSet, iter_mapping_ids, mapping_mask
+from repro.mapping.mapping_set import (
+    MappingSet,
+    MappingSubset,
+    iter_mapping_ids,
+    mapping_mask,
+)
 from repro.query.resolve import Embedding, resolve_query
 from repro.query.results import CanonicalMatch, PTQAnswer, PTQResult
 from repro.query.twig import TwigNode, TwigQuery
@@ -73,11 +79,12 @@ def filter_mappings(
     A :class:`MappingSet` input is filtered through its compiled bitset view
     (one AND per query node instead of per-mapping hash probes); the result —
     relevant mappings in ascending-id order — is identical to the plain scan
-    used for loose iterables.
+    used for loose iterables, and is a
+    :class:`~repro.mapping.mapping_set.MappingSubset` carrying its bitmask.
     """
     if isinstance(mapping_set, MappingSet):
         if not embeddings:
-            return []
+            return MappingSubset()
         return mapping_set.compile().relevant_mappings(embeddings)
     mappings = list(mapping_set)
     if not embeddings:
@@ -124,14 +131,71 @@ def _build_result(
     query: TwigQuery,
     document: XMLDocument,
     per_mapping: dict[int, frozenset[CanonicalMatch]],
-    mapping_set: MappingSet | Sequence[Mapping],
+    probabilities: Sequence[float],
 ) -> PTQResult:
-    probabilities = {mapping.mapping_id: mapping.probability for mapping in mapping_set}
+    """One answer per evaluated mapping; ``probabilities`` is indexed by mapping id."""
     answers = [
         PTQAnswer(mapping_id=mapping_id, probability=probabilities[mapping_id], matches=matches)
         for mapping_id, matches in per_mapping.items()
     ]
     return PTQResult(query, answers, document=document)
+
+
+#: The latest answer object per mapping id of each twig the compiled
+#: evaluator answered, so a re-evaluation after a delta reuses every answer
+#: whose mapping kept its probability and matches.  Answers are immutable
+#: values, so a reused object is indistinguishable from a fresh one.  Each
+#: table holds at most one answer per mapping id and dies with its twig.
+_LATEST_ANSWERS: "weakref.WeakKeyDictionary[TwigQuery, dict[int, PTQAnswer]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _build_reusing_result(
+    query: TwigQuery,
+    document: XMLDocument,
+    per_mapping: dict[int, frozenset[CanonicalMatch]],
+    probabilities: Sequence[float],
+) -> PTQResult:
+    """:func:`_build_result`, reusing the twig's previous answer objects where equal.
+
+    A cached result's answers survive in memory, so a fresh answer per
+    mapping and per evaluation is what made every result-cache miss grow
+    the collector's young generation by |relevant| objects.  An answer is
+    reused only when its probability is the *same float object* (the
+    delta patcher shares untouched mappings' values, and identity also
+    keeps ``-0.0`` and ``0.0`` apart) and its match set is equal.
+    """
+    latest = _LATEST_ANSWERS.get(query)
+    if latest is None:
+        latest = _LATEST_ANSWERS.setdefault(query, {})
+    # id(old match set) -> a new match set found equal to it this call.
+    equal: dict[int, frozenset[CanonicalMatch]] = {}
+    answers = []
+    for mapping_id, matches in per_mapping.items():
+        probability = probabilities[mapping_id]
+        answer = latest.get(mapping_id)
+        if answer is None or answer.probability is not probability or not (
+            answer.matches is matches
+            or equal.get(id(answer.matches)) is matches
+            or _remember_equal(answer.matches, matches, equal)
+        ):
+            answer = PTQAnswer(mapping_id=mapping_id, probability=probability, matches=matches)
+            latest[mapping_id] = answer
+        answers.append(answer)
+    return PTQResult(query, answers, document=document)
+
+
+def _remember_equal(
+    old: frozenset[CanonicalMatch],
+    new: frozenset[CanonicalMatch],
+    equal: dict[int, frozenset[CanonicalMatch]],
+) -> bool:
+    """Compare two match sets once, remembering a match for the old set's other rows."""
+    if old != new:
+        return False
+    equal[id(old)] = new
+    return True
 
 
 # --------------------------------------------------------------------------- #
@@ -175,7 +239,8 @@ def _evaluate_resolved(
         for mapping_id, matches in results.items():
             canonical = _canonicalize(matches)
             per_mapping[mapping_id] = per_mapping.get(mapping_id, frozenset()) | canonical
-    return _build_result(query, document, per_mapping, mapping_set)
+    probabilities = [mapping.probability for mapping in mapping_set]
+    return _build_result(query, document, per_mapping, probabilities)
 
 
 def evaluate_resolved_basic(
@@ -399,7 +464,6 @@ def evaluate_resolved_compiled(
     document: XMLDocument,
     embeddings: list[Embedding],
     mappings: Sequence[Mapping],
-    kernels=None,
 ) -> PTQResult:
     """Compiled-core evaluation loop over pre-resolved embeddings.
 
@@ -415,36 +479,39 @@ def evaluate_resolved_compiled(
     produces results identical to :func:`evaluate_resolved_basic`.
 
     The contract on ``embeddings`` and ``mappings`` matches
-    :func:`evaluate_resolved_basic`.  ``kernels`` selects the kernel backend
-    the compiled bitset loops run on (see
-    :func:`repro.engine.kernels.resolve_kernels`); answers are byte-identical
-    across backends.
+    :func:`evaluate_resolved_basic`.
     """
-    compiled = mapping_set.compile(kernels)
+    compiled = mapping_set.compile()
     selected_mask = compiled.mask_for(mappings)
-    query_nodes = list(query.root.iter_subtree())
+    node_ids = tuple(sorted(node.node_id for node in query.root.iter_subtree()))
     per_mapping: dict[int, frozenset[CanonicalMatch]] = {}
+    # Groups of one embedding are disjoint, so their members are assigned
+    # directly; only a second embedding can reach a mapping again and needs
+    # the union.
+    disjoint = len(embeddings) == 1
     # One match_twig + canonicalisation per distinct element map, shared
-    # across embeddings too (two embeddings can induce the same rewrite).
-    rewrite_cache: dict[tuple[tuple[int, int], ...], frozenset[CanonicalMatch]] = {}
+    # across embeddings too (two embeddings can induce the same rewrite).  A
+    # rewrite is keyed by its source elements in query-node-id order.
+    rewrite_cache: dict[tuple[int, ...], frozenset[CanonicalMatch]] = {}
     for embedding in embeddings:
         for group_mask, assignment in compiled.rewrite_groups(
             set(embedding.values()), selected_mask
         ):
-            element_map = {
-                node.node_id: assignment[embedding[node.node_id]] for node in query_nodes
-            }
-            signature = tuple(sorted(element_map.items()))
+            signature = tuple(assignment[embedding[node_id]] for node_id in node_ids)
             canonical = rewrite_cache.get(signature)
             if canonical is None:
+                element_map = dict(zip(node_ids, signature))
                 canonical = _canonicalize(match_twig(document, query.root, element_map))
                 rewrite_cache[signature] = canonical
+            if disjoint:
+                per_mapping.update(dict.fromkeys(iter_mapping_ids(group_mask), canonical))
+                continue
             for mapping_id in iter_mapping_ids(group_mask):
                 existing = per_mapping.get(mapping_id)
                 per_mapping[mapping_id] = (
                     canonical if existing is None else existing | canonical
                 )
-    return _build_result(query, document, per_mapping, mapping_set)
+    return _build_reusing_result(query, document, per_mapping, compiled.probabilities)
 
 
 def evaluate_ptq(

@@ -26,7 +26,6 @@ def evaluate_topk_ptq(
     document: XMLDocument,
     k: int,
     block_tree: Optional[BlockTree] = None,
-    kernels=None,
 ) -> PTQResult:
     """Evaluate a top-k PTQ.
 
@@ -46,10 +45,6 @@ def evaluate_topk_ptq(
         Algorithm 4.  Otherwise it runs on the mapping set's compiled bitset
         view (the engine's ``compiled`` plan) — identical answers, with each
         distinct rewrite of the restricted mapping subset evaluated once.
-    kernels:
-        Kernel-backend selection for the compiled path (see
-        :func:`repro.engine.kernels.resolve_kernels`); answers never depend
-        on the backend.
 
     Returns
     -------
@@ -59,6 +54,4 @@ def evaluate_topk_ptq(
     from repro.engine.plans import plan_for
 
     plan = plan_for("compiled" if block_tree is None else "blocktree")
-    return plan.run(
-        query, mapping_set, document, block_tree=block_tree, k=k, kernels=kernels
-    )
+    return plan.run(query, mapping_set, document, block_tree=block_tree, k=k)

@@ -93,10 +93,7 @@ class QueryService:
     max_workers:
         Size of the service's thread pool (used by :meth:`submit`,
         :meth:`submit_many` and :meth:`execute_many`).  ``None`` (default)
-        sizes the pool for the session's kernel backend via
-        :func:`repro.engine.planner.default_service_workers` — the numpy
-        kernels release the GIL, so the pool scales with the machine's
-        cores; the pure-Python kernels keep the historical fixed 8.
+        uses :func:`repro.engine.planner.default_service_workers`.
     use_cache:
         Whether served queries consult the session's result cache
         (default ``True``).  Corpus-backed services cache under
@@ -134,7 +131,7 @@ class QueryService:
             self._corpus = None
             self._dataspace = dataspace
         if max_workers is None:
-            max_workers = default_service_workers(self._dataspace.kernels)
+            max_workers = default_service_workers()
         self._use_cache = use_cache
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix=f"ptq-{dataspace.name}"
@@ -195,7 +192,6 @@ class QueryService:
         """The service's chosen executor configuration (for benchmarks/ops)."""
         config: dict = {
             "max_workers": self._max_workers,
-            "backend": self._dataspace.kernels.name,
         }
         if self._corpus is not None:
             config["corpus"] = self._corpus.executor_config()
@@ -405,17 +401,26 @@ class QueryService:
             if self._closed:
                 raise DataspaceError("the query service has been closed")
             self._submitted += len(queries)
-        started = time.perf_counter()
+        timings_ms: list[float] = []
         try:
             if self._corpus is not None:
                 # Route the batch across shards: one pool worker per query,
                 # each query's scatter evaluated inline in its worker.
                 results = self._corpus.execute_batch(
-                    queries, k=k, use_cache=self._use_cache, executor=self._pool
+                    queries,
+                    k=k,
+                    use_cache=self._use_cache,
+                    executor=self._pool,
+                    timings_ms=timings_ms,
                 )
             else:
                 results = self._dataspace.query_batch(
-                    queries, k=k, plan=plan, executor=self._pool, use_cache=self._use_cache
+                    queries,
+                    k=k,
+                    plan=plan,
+                    executor=self._pool,
+                    use_cache=self._use_cache,
+                    timings_ms=timings_ms,
                 )
         except Exception as error:
             # The batch fails as a unit: account every submitted slot as
@@ -429,13 +434,11 @@ class QueryService:
             if isinstance(error, RuntimeError) and "shutdown" in str(error):
                 raise DataspaceError("the query service has been closed") from error
             raise
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
         with self._lock:
             self._completed += len(queries)
-            # One batch produces one wall-clock measurement per query slot so
-            # percentiles remain per-query comparable across paths.
-            if queries:
-                self._latencies_ms.extend([elapsed_ms / len(queries)] * len(queries))
+            # Each query slot records its own evaluation time, measured where
+            # it ran, so one slow query in a batch shows up in the tail.
+            self._latencies_ms.extend(timings_ms)
         return results
 
     # ------------------------------------------------------------------ #

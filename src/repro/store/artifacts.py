@@ -211,15 +211,12 @@ def compiled_payload(compiled) -> dict:
     }
 
 
-def attach_compiled(payload: dict, mapping_set: MappingSet, kernels=None):
+def attach_compiled(payload: dict, mapping_set: MappingSet):
     """Rebuild a :class:`CompiledMappingSet` from its payload and memoize it.
 
     The artifact is installed as ``mapping_set._compiled`` (the same slot
     :meth:`MappingSet.compile` fills), so the engine's generation machinery
-    treats it exactly like a freshly compiled view.  The stored columns are
-    backend-neutral Python-int masks; ``kernels`` picks the kernel backend
-    the reattached artifact runs on (``None`` = process default), so a
-    session persisted under one backend reopens under any other.
+    treats it exactly like a freshly compiled view.
 
     Raises
     ------
@@ -227,7 +224,6 @@ def attach_compiled(payload: dict, mapping_set: MappingSet, kernels=None):
         When the stored column dimensions do not match the mapping set.
     """
     from repro.engine.compiled import CompiledMappingSet
-    from repro.engine.kernels import resolve_kernels
 
     if payload["num_mappings"] != len(mapping_set):
         raise StoreError(
@@ -239,7 +235,6 @@ def attach_compiled(payload: dict, mapping_set: MappingSet, kernels=None):
     compiled.num_mappings = len(mapping_set)
     compiled.all_mask = (1 << len(mapping_set)) - 1
     compiled.probabilities = tuple(mapping.probability for mapping in mapping_set)
-    compiled.kernels = resolve_kernels(kernels)
     compiled._pair_masks = {
         (s, t): _mask_int(mask) for s, t, mask in payload["pairs"]
     }
@@ -248,7 +243,6 @@ def attach_compiled(payload: dict, mapping_set: MappingSet, kernels=None):
         t: tuple((s, _mask_int(mask)) for s, mask in partitions)
         for t, partitions in payload["sources"]
     }
-    compiled._columns = None
     mapping_set._compiled = compiled
     return compiled
 

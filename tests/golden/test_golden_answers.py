@@ -25,17 +25,11 @@ import pytest
 
 from repro.api.serialize import result_to_json
 from repro.engine import Dataspace
-from repro.engine.kernels import available_backends
 from repro.query.parser import parse_twig
 from repro.query.ptq import evaluate_ptq_blocktree
 from repro.service import QueryService, workload_queries
 from repro.workloads.datasets import DATASET_IDS
 from repro.workloads.queries import QUERY_ALIASES, QUERY_STRINGS, load_query
-
-#: Kernel backends importable in this process.  The snapshots are asserted
-#: per backend, so the numpy kernels are pinned byte-exactly to the same
-#: answers as the pure-Python reference wherever numpy is installed.
-BACKENDS = available_backends()
 
 #: Mapping-set size for the golden fixtures (kept small so all ten datasets
 #: stay cheap to build; the differential suites cover other sizes).
@@ -83,20 +77,16 @@ def update_golden(request):
     return request.config.getoption("--update-golden")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("dataset_id", DATASET_IDS)
-def test_golden_answers(dataset_id, backend, update_golden):
+def test_golden_answers(dataset_id, update_golden):
     queries = workload_queries(dataset_id, limit=GOLDEN_QUERIES)
-    session = Dataspace.from_dataset(dataset_id, h=GOLDEN_H, kernels=backend)
-    assert session.kernels.name == backend
+    session = Dataspace.from_dataset(dataset_id, h=GOLDEN_H)
     # The service path below runs the engine's default plan — the compiled
     # bitset core — so these snapshots pin the compiled plan byte-exactly
     # against answers generated from the seed free functions.
     assert session.select_plan()[0].name == "compiled"
 
     if update_golden:
-        if backend != BACKENDS[0]:
-            pytest.skip("snapshots are regenerated once; backends share them")
         # Regenerate from the *seed free functions* — the reference the
         # service path is later held to.
         mapping_set = session.mapping_set

@@ -16,8 +16,7 @@ Covered here, per the serving contract (docs/serving.md):
   :class:`~repro.api.RequestTimeoutError`;
 * streamed top-k responses reassemble into exactly the unstreamed bytes;
 * and the differential pin: server response bytes are identical to
-  in-process :class:`~repro.api.ApiHandler` execution, across kernel
-  backends.
+  in-process :class:`~repro.api.ApiHandler` execution.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from repro.api import (
 from repro.api.handler import ApiHandler
 from repro.api.serialize import canonical_json
 from repro.engine import Dataspace
-from repro.engine.kernels import available_backends
 from repro.net import ReproClient, ReproServer, connect
 from repro.net.framing import (
     FRAMING_VERSION,
@@ -148,12 +146,11 @@ def harness(service):
 
 
 # --------------------------------------------------------------------------- #
-# Differential: server bytes == in-process bytes, across backends
+# Differential: server bytes == in-process bytes
 # --------------------------------------------------------------------------- #
 class TestDifferential:
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_server_response_bytes_match_in_process(self, backend):
-        session = Dataspace.from_dataset(DATASET, h=H, kernels=backend)
+    def test_server_response_bytes_match_in_process(self):
+        session = Dataspace.from_dataset(DATASET, h=H)
         request = QueryRequest(query="Q1", k=5)
         with QueryService(session, max_workers=2) as svc:
             expected = encode_message(ApiHandler(svc).handle(request))

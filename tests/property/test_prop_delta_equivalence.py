@@ -22,18 +22,12 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _scenarios import query_scenarios
 from repro.engine import Dataspace, MappingDelta, apply_mapping_delta
-from repro.engine.kernels import available_backends
-from repro.mapping.mapping_set import MappingSet
-
-#: Kernel backends importable in this process (see test_prop_plan_equivalence).
-BACKENDS = available_backends()
-
+from repro.mapping.mapping_set import MappingSet, mapping_mask
 
 def answer_set(result):
     return {(answer.mapping_id, answer.matches, answer.probability) for answer in result}
@@ -103,32 +97,74 @@ def reference_session(delta_session: Dataspace, scenario) -> Dataspace:
 
 
 class TestDeltaEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=30, deadline=None)
     @given(scenario=query_scenarios(), seed=st.integers(0, 100_000))
-    def test_patched_compiled_equals_fresh_compile(self, backend, scenario, seed):
+    def test_patched_compiled_equals_fresh_compile(self, scenario, seed):
         mapping_set, _, _, _ = scenario
-        mapping_set.compile(backend)
+        mapping_set.compile()
         delta = random_delta(mapping_set, seed)
         patched, _ = apply_mapping_delta(mapping_set, delta)
         fresh = MappingSet(
             patched.matching, patched.mappings, normalize=False
-        ).compile(backend)
-        compiled = patched.compile(backend)
-        assert compiled.kernels.name == fresh.kernels.name == backend
+        ).compile()
+        compiled = patched.compile()
         assert compiled.probabilities == fresh.probabilities
         assert compiled._pair_masks == fresh._pair_masks
         assert compiled._covered_masks == fresh._covered_masks
         assert compiled._target_sources == fresh._target_sources
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(max_examples=20, deadline=None)
+    @given(scenario=query_scenarios(), seed=st.integers(0, 100_000))
+    def test_relevant_mask_travels_with_the_relevant_set(self, scenario, seed):
+        """The bitmask carried with the relevant set is exact at every epoch.
+
+        A seeded stream alternates rotations (probability-only, so the
+        filter prefix is promoted across the epoch by the filter cache)
+        with random structural edits; at each epoch the carried mask must
+        equal ``mapping_mask`` of the set's ids, the set must hold the
+        current mapping objects, and its ids must match a from-scratch
+        filter over the current mappings.
+        """
+        mapping_set, document, query, tau = scenario
+        session = Dataspace.from_mapping_set(mapping_set, document=document, tau=tau)
+        prepared = session.prepare(query)
+        rng = random.Random(seed)
+
+        def check() -> None:
+            relevant = prepared.relevant_mappings()
+            ids = [mapping.mapping_id for mapping in relevant]
+            assert relevant.mask == mapping_mask(ids)
+            current = session.mapping_set
+            assert all(mapping is current[mapping.mapping_id] for mapping in relevant)
+            fresh = reference_session(session, scenario).prepare(query).relevant_mappings()
+            assert ids == [mapping.mapping_id for mapping in fresh]
+
+        check()
+        rotations = 0
+        for step in range(6):
+            current = session.mapping_set
+            if step % 2 == 0 and len(current) >= 2:
+                ids = rng.sample(range(len(current)), k=min(3, len(current)))
+                delta = MappingDelta.build(
+                    reweight={
+                        mapping_id: current[ids[(index + 1) % len(ids)]].probability
+                        for index, mapping_id in enumerate(ids)
+                    }
+                )
+                rotations += 1
+            else:
+                delta = random_delta(current, rng.randrange(1_000_000))
+            if not delta.is_empty():
+                session.apply_delta(delta)
+            check()
+        if rotations:
+            assert session.cache_stats()["filter_cache"]["retained"] >= 1
+
     @settings(max_examples=25, deadline=None)
     @given(scenario=query_scenarios(), seed=st.integers(0, 100_000))
-    def test_all_plans_identical_after_delta(self, backend, scenario, seed):
+    def test_all_plans_identical_after_delta(self, scenario, seed):
         mapping_set, document, query, tau = scenario
-        session = Dataspace.from_mapping_set(
-            mapping_set, document=document, tau=tau, kernels=backend
-        )
+        session = Dataspace.from_mapping_set(mapping_set, document=document, tau=tau)
         session.apply_delta(random_delta(mapping_set, seed))
         reference = reference_session(session, scenario)
         expected = answer_set(reference.execute(query, use_cache=False))

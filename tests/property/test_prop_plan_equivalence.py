@@ -11,20 +11,12 @@ that lets future perf PRs refactor hot paths without changing answers.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _scenarios import query_scenarios
 from repro.engine import Dataspace
-from repro.engine.kernels import available_backends
 from repro.service import QueryService
-
-#: Kernel backends importable in this process; the differential suites run
-#: per backend, so the numpy kernels are pinned to the Python reference
-#: wherever numpy is installed.
-BACKENDS = available_backends()
-
 
 def answer_set(result):
     return {(answer.mapping_id, answer.matches, answer.probability) for answer in result}
@@ -38,20 +30,19 @@ def canonical_answers(result):
     )
 
 
-def open_session(scenario, cache_size=128, kernels=None):
+def open_session(scenario, cache_size=128):
     mapping_set, document, query, tau = scenario
     session = Dataspace.from_mapping_set(
-        mapping_set, document=document, tau=tau, cache_size=cache_size, kernels=kernels
+        mapping_set, document=document, tau=tau, cache_size=cache_size
     )
     return session, query
 
 
 class TestPlanEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=30, deadline=None)
     @given(scenario=query_scenarios())
-    def test_all_plans_identical(self, backend, scenario):
-        session, query = open_session(scenario, kernels=backend)
+    def test_all_plans_identical(self, scenario):
+        session, query = open_session(scenario)
         basic = session.execute(query, plan="basic", use_cache=False)
         tree = session.execute(query, plan="blocktree", use_cache=False)
         compiled = session.execute(query, plan="compiled", use_cache=False)
@@ -117,11 +108,10 @@ class TestShardedCorpusEquivalence:
     could lose crossing matches — is exercised adversarially.
     """
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=20, deadline=None)
     @given(scenario=query_scenarios(), num_shards=st.sampled_from([1, 2, 4, 7]))
-    def test_sharded_execute_identical(self, backend, scenario, num_shards):
-        session, query = open_session(scenario, kernels=backend)
+    def test_sharded_execute_identical(self, scenario, num_shards):
+        session, query = open_session(scenario)
         corpus = session.shard(num_shards)
         unsharded = session.execute(query, use_cache=False)
         sharded = corpus.execute(query, use_cache=False)
@@ -150,47 +140,6 @@ class TestShardedCorpusEquivalence:
         assert answer_set(submitted) == answer_set(direct)
         for result in batched:
             assert answer_set(result) == answer_set(direct)
-
-
-class TestKernelBackendEquivalence:
-    """The kernel backend must never change an answer — not even a bit.
-
-    The compiled plan's results under every importable backend are compared
-    through ``float.hex()`` serialisation, so a numpy kernel that changed the
-    accumulation order of a probability sum (and hence its last ulp) would
-    fail here.  On a numpy-less interpreter ``BACKENDS == ("python",)`` and
-    these properties degenerate to self-comparison — the cross-backend pin
-    then comes from the CI leg that installs numpy.
-    """
-
-    @settings(max_examples=30, deadline=None)
-    @given(query_scenarios())
-    def test_backends_bit_identical(self, scenario):
-        reference = None
-        for backend in BACKENDS:
-            session, query = open_session(scenario, kernels=backend)
-            assert session.kernels.name == backend
-            got = canonical_answers(session.execute(query, use_cache=False))
-            if reference is None:
-                reference = got
-            else:
-                assert got == reference, f"backend {backend} diverges"
-
-    @settings(max_examples=15, deadline=None)
-    @given(query_scenarios(), st.integers(1, 5), st.sampled_from([1, 3, 7]))
-    def test_backends_bit_identical_topk_and_sharded(self, scenario, k, num_shards):
-        reference_topk = None
-        reference_sharded = None
-        for backend in BACKENDS:
-            session, query = open_session(scenario, kernels=backend)
-            topk = canonical_answers(session.execute(query, k=k, use_cache=False))
-            corpus = session.shard(num_shards)
-            sharded = canonical_answers(corpus.execute(query, use_cache=False))
-            if reference_topk is None:
-                reference_topk, reference_sharded = topk, sharded
-            else:
-                assert topk == reference_topk, f"backend {backend} top-k diverges"
-                assert sharded == reference_sharded, f"backend {backend} sharded diverges"
 
 
 class TestBatchAndServiceEquivalence:
@@ -243,14 +192,13 @@ class TestCostBasedPlannerEquivalence:
     scatter-gather route), so the subsequent un-forced execution takes
     whatever strategy the model picked.  Whatever it picks, the answers must
     serialize byte-identically (``float.hex()``) to every fixed plan's — per
-    kernel backend, per shard count.
+    shard count.
     """
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=15, deadline=None)
     @given(scenario=query_scenarios(), num_shards=st.sampled_from([1, 2, 4, 7]))
-    def test_cost_routed_equals_every_fixed_plan(self, backend, scenario, num_shards):
-        session, query = open_session(scenario, kernels=backend)
+    def test_cost_routed_equals_every_fixed_plan(self, scenario, num_shards):
+        session, query = open_session(scenario)
         fixed = {
             plan: canonical_answers(session.execute(query, plan=plan, use_cache=False))
             for plan in ("basic", "blocktree", "compiled")

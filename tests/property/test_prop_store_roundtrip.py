@@ -24,13 +24,8 @@ from hypothesis import strategies as st
 from _scenarios import query_scenarios
 from test_prop_delta_equivalence import random_delta
 from repro.engine import Dataspace
-from repro.engine.kernels import available_backends
 from repro.mapping.mapping_set import MappingSet
 from repro.store import MemoryBlockStore, OverlayBlockStore
-
-#: Kernel backends importable in this process.
-BACKENDS = available_backends()
-
 
 def answer_list(result):
     """Canonical, order-pinned view of a PTQ result (exact probabilities)."""
@@ -40,18 +35,16 @@ def answer_list(result):
     ]
 
 
-def open_session(scenario, kernels=None) -> Dataspace:
+def open_session(scenario) -> Dataspace:
     mapping_set, document, _, tau = scenario
-    return Dataspace.from_mapping_set(
-        mapping_set, document=document, tau=tau, kernels=kernels
-    )
+    return Dataspace.from_mapping_set(mapping_set, document=document, tau=tau)
 
 
-def roundtrip(session: Dataspace, kernels=None) -> Dataspace:
+def roundtrip(session: Dataspace) -> Dataspace:
     """Persist ``session`` into a fresh store and reopen it from there."""
     store = MemoryBlockStore()
     report = session.persist(store)
-    return Dataspace.from_store(store, report["ref"], kernels=kernels)
+    return Dataspace.from_store(store, report["ref"])
 
 
 class TestStoreRoundtrip:
@@ -116,44 +109,6 @@ class TestStoreRoundtrip:
         assert answer_list(reopened.execute(query, use_cache=False)) == answer_list(
             session.execute(query, use_cache=False)
         )
-
-    @settings(max_examples=15, deadline=None)
-    @given(query_scenarios())
-    def test_cross_backend_roundtrip_identical(self, scenario):
-        """Persist under one backend, reopen under another — same bytes.
-
-        The stored compiled columns are backend-neutral Python-int masks, so
-        every (persist backend, reopen backend) pairing must produce
-        dict-equal columns and bit-identical answers.  On a numpy-less
-        interpreter this degenerates to python→python.
-        """
-        _, _, query, _ = scenario
-        reference = None
-        for persist_backend in BACKENDS:
-            session = open_session(scenario, kernels=persist_backend)
-            session.compiled  # ensure the compiled columns are persisted
-            expected = answer_list(session.execute(query, use_cache=False))
-            for reopen_backend in BACKENDS:
-                reopened = roundtrip(session, kernels=reopen_backend)
-                assert reopened.kernels.name == reopen_backend
-                compiled = reopened.compiled
-                assert compiled.kernels.name == reopen_backend
-                assert compiled._pair_masks == session.compiled._pair_masks
-                assert compiled._covered_masks == session.compiled._covered_masks
-                assert compiled._target_sources == session.compiled._target_sources
-                assert compiled.probabilities == session.compiled.probabilities
-                got = answer_list(reopened.execute(query, use_cache=False))
-                assert got == expected, (
-                    f"answers diverge persisting under {persist_backend!r} and "
-                    f"reopening under {reopen_backend!r}"
-                )
-                if reference is None:
-                    reference = got
-                else:
-                    assert got == reference
-                assert reopened.explain(query).compiled_stats["kernel_backend"] == (
-                    reopen_backend
-                )
 
     @settings(max_examples=15, deadline=None)
     @given(query_scenarios(), st.integers(0, 100_000))

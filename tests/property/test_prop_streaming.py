@@ -12,8 +12,7 @@ that property:
 * against uncached re-execution in the same session and against a rebuilt
   from-scratch reference session, for full (``k=None``) and top-k standing
   queries;
-* across every evaluation plan (``basic``, ``blocktree``, ``compiled``) and
-  every importable kernel backend;
+* across every evaluation plan (``basic``, ``blocktree``, ``compiled``);
 * across scatter-gather execution at shard counts {1, 2, 4, 7};
 * together with the delivery invariants: updates arrive in strictly
   increasing epoch order, never for an epoch from before the subscription's
@@ -24,18 +23,14 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _scenarios import query_scenarios
 from repro.engine import Dataspace, apply_mapping_delta
-from repro.engine.kernels import available_backends
 from repro.engine.streaming import DeltaBatch, apply_update
 from repro.mapping.mapping_set import MappingSet
 from test_prop_delta_equivalence import random_delta
-
-BACKENDS = available_backends()
 
 #: Scatter-gather layouts the replayed stream is pinned against.
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -81,17 +76,14 @@ def replayed_rows(events) -> list:
 
 
 class TestStreamingReplay:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=15, deadline=None)
     @given(
         scenario=query_scenarios(),
         seeds=st.lists(st.integers(0, 100_000), min_size=1, max_size=3),
     )
-    def test_replay_identical_to_scratch_all_plans(self, backend, scenario, seeds):
+    def test_replay_identical_to_scratch_all_plans(self, scenario, seeds):
         mapping_set, document, query, tau = scenario
-        session = Dataspace.from_mapping_set(
-            mapping_set, document=document, tau=tau, kernels=backend
-        )
+        session = Dataspace.from_mapping_set(mapping_set, document=document, tau=tau)
         full_events, topk_events = [], []
         session.subscribe(query, callback=full_events.append)
         session.subscribe(query, k=2, callback=topk_events.append)

@@ -1,201 +1,76 @@
-"""Unit tests for the kernel backends of the compiled core.
+"""Unit tests for the compiled core's bitset kernels.
 
-Covers backend selection (explicit argument, ``REPRO_KERNELS`` environment
-variable, auto-detection, and the :class:`KernelError` cases), the variant
-memoization on :meth:`MappingSet.compile`, and — on interpreters where numpy
-is importable — operation-level identity between the pure-Python and numpy
-kernels on both narrow (single-word) and wide (multi-word) mask columns.
+The hot loops of :class:`~repro.engine.compiled.CompiledMappingSet` —
+coverage intersection, the union-of-coverage filter step, partition
+refinement and probability accumulation — run on Python-int bitmasks.
+Each is checked here against a naive per-mapping computation over the
+:class:`~repro.mapping.mapping.Mapping` objects, on both narrow
+(single-word) and wide (multi-word) mask columns.
 """
 
 from __future__ import annotations
 
-import pytest
-
-import repro.engine.kernels as kernels_module
-from repro.engine import Dataspace
-from repro.engine.kernels import (
-    KERNELS_ENV_VAR,
-    Kernels,
-    PythonKernels,
-    available_backends,
-    default_backend_name,
-    resolve_kernels,
-)
-from repro.exceptions import KernelError
-
-BACKENDS = available_backends()
-HAVE_NUMPY = "numpy" in BACKENDS
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not importable")
+from repro.mapping.mapping_set import mapping_mask
 
 
-class TestBackendSelection:
-    def test_python_backend_always_available(self):
-        assert BACKENDS[0] == "python"
-        assert isinstance(resolve_kernels("python"), PythonKernels)
-
-    def test_backends_are_singletons(self):
-        assert resolve_kernels("python") is resolve_kernels("python")
-        if HAVE_NUMPY:
-            assert resolve_kernels("numpy") is resolve_kernels("numpy")
-
-    def test_instance_passes_through(self):
-        backend = resolve_kernels("python")
-        assert resolve_kernels(backend) is backend
-
-    def test_names_are_case_insensitive(self):
-        assert resolve_kernels("Python").name == "python"
-        assert resolve_kernels("AUTO").name == default_backend_name()
-
-    def test_auto_prefers_numpy_when_available(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV_VAR, raising=False)
-        expected = "numpy" if HAVE_NUMPY else "python"
-        assert resolve_kernels("auto").name == expected
-        assert resolve_kernels(None).name == expected
-        assert default_backend_name() == expected
-
-    def test_env_var_forces_python(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "python")
-        assert resolve_kernels(None).name == "python"
-        # An explicit argument still beats the environment.
-        if HAVE_NUMPY:
-            assert resolve_kernels("numpy").name == "numpy"
-
-    def test_env_var_unknown_name_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "fortran")
-        with pytest.raises(KernelError, match="unknown kernel backend"):
-            resolve_kernels(None)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KernelError, match="unknown kernel backend"):
-            resolve_kernels("cuda")
-
-    def test_explicit_numpy_without_numpy_raises(self, monkeypatch):
-        # Simulate a numpy-less interpreter: the probe result is memoized in
-        # the module, so patching it to "probed and absent" is equivalent.
-        monkeypatch.setattr(kernels_module, "_numpy_backend", False)
-        with pytest.raises(KernelError, match="not importable"):
-            resolve_kernels("numpy")
-        monkeypatch.setenv(KERNELS_ENV_VAR, "numpy")
-        with pytest.raises(KernelError, match="not importable"):
-            resolve_kernels(None)
-        # "auto" is the spelling that may degrade silently.
-        assert resolve_kernels("auto").name == "python"
-
-
-class TestCompileVariants:
-    def test_variants_share_neutral_columns(self, figure_mappings):
-        default = figure_mappings.compile()
-        for backend in BACKENDS:
-            variant = figure_mappings.compile(backend)
-            assert variant.kernels.name == backend
-            # Same memoized object when the backend matches, a re-skin
-            # sharing the neutral dicts otherwise — never a recompile.
-            if backend == default.kernels.name:
-                assert variant is default
-            else:
-                assert variant._pair_masks is default._pair_masks
-                assert variant._covered_masks is default._covered_masks
-                assert variant._target_sources is default._target_sources
-                assert variant.probabilities is default.probabilities
-            # Repeated requests return the memoized variant.
-            assert figure_mappings.compile(backend) is variant
-
-    def test_stats_report_backend(self, figure_mappings):
-        for backend in BACKENDS:
-            assert figure_mappings.compile(backend).stats()["kernel_backend"] == backend
-
-    def test_dataspace_threads_backend(self, figure_mappings, figure_document):
-        for backend in BACKENDS:
-            session = Dataspace.from_mapping_set(
-                figure_mappings, document=figure_document, kernels=backend
-            )
-            assert session.kernels.name == backend
-            assert session.compiled.kernels.name == backend
-            report = session.explain("//INVOICE_PARTY//CONTACT_NAME")
-            assert report.compiled_stats["kernel_backend"] == backend
-
-    def test_dataspace_rejects_unknown_backend(self, figure_mappings, figure_document):
-        with pytest.raises(KernelError):
-            Dataspace.from_mapping_set(
-                figure_mappings, document=figure_document, kernels="no-such-backend"
-            )
-
-    def test_env_var_selects_session_backend(
-        self, figure_mappings, figure_document, monkeypatch
-    ):
-        monkeypatch.setenv(KERNELS_ENV_VAR, "python")
-        session = Dataspace.from_mapping_set(figure_mappings, document=figure_document)
-        assert session.kernels.name == "python"
-
-
-@needs_numpy
 class TestOperationIdentity:
-    """Every kernel operation agrees bit-for-bit across backends."""
-
-    def pair(self, mapping_set):
-        python = mapping_set.compile("python")
-        numpy = mapping_set.compile("numpy")
-        return python, numpy
+    """Every bitset operation agrees with its per-mapping definition."""
 
     def check_identity(self, mapping_set):
-        python, numpy = self.pair(mapping_set)
-        p_state = python.kernels.bind(python)
-        n_state = numpy.kernels.bind(numpy)
-        all_mask = python.all_mask
-        targets = sorted(python._covered_masks)
+        compiled = mapping_set.compile()
+        mappings = list(mapping_set)
+        all_mask = compiled.all_mask
+        targets = sorted(compiled._covered_masks)
+
+        def covering(target_ids):
+            return mapping_mask(
+                m.mapping_id for m in mappings if m.covers_targets(set(target_ids))
+            )
 
         # Coverage intersections, including missing targets and empty input.
         missing = max(targets) + 1000
         for subset in ([], targets[:1], targets[:3], targets, [missing], targets[:2] + [missing]):
-            expected = python.kernels.coverage_mask(p_state, subset)
-            assert numpy.kernels.coverage_mask(n_state, subset) == expected
+            assert compiled.covers_mask(subset) == covering(subset)
 
-        # Union-of-coverage over several target sets.
+        # Union-of-coverage over several target sets (one per "embedding").
         sets = [targets[:2], targets[1:4], [missing], targets]
-        assert python.kernels.union_coverage(p_state, sets) == numpy.kernels.union_coverage(
-            n_state, sets
-        )
+        embeddings = [{index: target for index, target in enumerate(s)} for s in sets]
+        expected = 0
+        for target_set in sets:
+            expected |= covering(target_set)
+        assert compiled.relevant_mask(embeddings) == expected
 
-        # Partition refinement: identical groups in identical order.
+        # Partition refinement: disjoint groups, each sharing one rewrite,
+        # covering exactly the candidates, in deterministic order.
         for required in (targets[:1], targets[:2], targets[:4]):
-            candidates = python.kernels.coverage_mask(p_state, required)
-            expected_groups = python.kernels.refine_groups(p_state, required, candidates)
-            got_groups = numpy.kernels.refine_groups(n_state, required, candidates)
-            assert got_groups == expected_groups
+            groups = compiled.rewrite_groups(required)
+            union = 0
+            for group_mask, assignment in groups:
+                assert group_mask and not union & group_mask
+                union |= group_mask
+                for mapping_id in compiled.iter_ids(group_mask):
+                    mapping = mapping_set[mapping_id]
+                    for target_id in required:
+                        assert mapping.source_for_target(target_id) == assignment[target_id]
+            assert union == covering(required)
+            assert groups == compiled.rewrite_groups(list(reversed(required)))
 
-        # Probability column operations — exact float equality.
-        masks = [0, 1, all_mask, all_mask >> 1, all_mask & 0x5555555555555555]
-        for mask in masks:
-            assert python.kernels.gather_probabilities(
-                p_state, mask
-            ) == numpy.kernels.gather_probabilities(n_state, mask)
-            p_mass = python.kernels.probability_mass(p_state, mask)
-            n_mass = numpy.kernels.probability_mass(n_state, mask)
-            assert p_mass == n_mass
-            assert p_mass.hex() == n_mass.hex()
-        assert python.kernels.max_probability(p_state) == numpy.kernels.max_probability(
-            n_state
-        )
-
-        # Shared scalar algebra and batched popcounts.
-        assert python.kernels.popcounts(python._pair_masks.values()) == numpy.kernels.popcounts(
-            numpy._pair_masks.values()
-        )
+        # Probability column operations — exact float equality with a
+        # sequential ascending-id sum.
+        for mask in (0, 1, all_mask, all_mask >> 1, all_mask & 0x5555555555555555):
+            members = [m for m in mappings if mask >> m.mapping_id & 1]
+            assert compiled.probabilities_of(mask) == [m.probability for m in members]
+            total = 0.0
+            for mapping in members:
+                total += mapping.probability
+            assert compiled.probability_of_mask(mask).hex() == total.hex()
+        assert compiled.max_probability() == max(m.probability for m in mappings)
 
     def test_identity_on_single_word_masks(self, figure_mappings):
         # Five mappings: every mask fits one 64-bit word.
         self.check_identity(figure_mappings)
 
     def test_identity_on_multi_word_masks(self, d7_mappings):
-        # One hundred mappings: masks span two uint64 words, so the word
-        # packing, cross-word popcounts and broadcast refinement are all hit.
+        # One hundred mappings: masks span two machine words.
         assert len(d7_mappings) > 64
         self.check_identity(d7_mappings)
-
-    def test_numpy_backend_reports_gil_release(self):
-        python = resolve_kernels("python")
-        numpy = resolve_kernels("numpy")
-        assert not python.releases_gil
-        assert numpy.releases_gil
-        assert isinstance(numpy, Kernels)

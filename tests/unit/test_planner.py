@@ -9,8 +9,6 @@ statistics through the artifact store, and ``explain(analyze=True)``).
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.engine import Dataspace
@@ -38,11 +36,6 @@ def figure_session(figure_mappings, figure_document):
     return Dataspace.from_mapping_set(
         figure_mappings, document=figure_document, tau=0.4, name="planner"
     )
-
-
-class _FakeKernels:
-    def __init__(self, name):
-        self.name = name
 
 
 # --------------------------------------------------------------------------- #
@@ -279,19 +272,11 @@ class TestCostModel:
 
 class TestWorkerSizing:
     def test_python_backend_keeps_gil_bound_sizing(self):
-        kernels = _FakeKernels("python")
-        assert recommend_scatter_workers(4, kernels) == 4
-        assert recommend_scatter_workers(1, kernels) == 2
-        assert recommend_scatter_workers(100, kernels) == 8
-        assert default_service_workers(kernels) == 8
-        assert default_service_workers(None) == 8
-
-    def test_numpy_backend_scales_with_cores(self):
-        kernels = _FakeKernels("numpy")
-        cpus = os.cpu_count() or 2
-        assert recommend_scatter_workers(4, kernels) == max(2, min(32, 5, 2 * cpus))
-        assert recommend_scatter_workers(100, kernels) <= 32
-        assert default_service_workers(kernels) == max(8, min(32, 4 * cpus))
+        # The bitset loops hold the GIL: pools stay small and fixed.
+        assert recommend_scatter_workers(4) == 4
+        assert recommend_scatter_workers(1) == 2
+        assert recommend_scatter_workers(100) == 8
+        assert default_service_workers() == 8
 
 
 # --------------------------------------------------------------------------- #

@@ -53,7 +53,7 @@ RAW_BENCHMARK = {
                       "median": 0.15, "rounds": 5, "iterations": 2},
             "extra_info": {
                 "speedup": 2.123456789,
-                "executor": {"backend": "numpy", "max_workers": 8},
+                "executor": {"num_shards": 4, "max_workers": 8},
                 "ratios": [1.04999999, 2.0],
             },
         },
@@ -71,7 +71,7 @@ class TestPerfTrajectory:
     def test_extra_info_ratios_are_normalised(self):
         rows = perf_trajectory.normalise_report(RAW_BENCHMARK)
         assert rows[0]["extra_info"] == {
-            "executor": {"backend": "numpy", "max_workers": 8},
+            "executor": {"num_shards": 4, "max_workers": 8},
             "ratios": [1.05, 2.0],
             "speedup": 2.1235,
         }

@@ -484,6 +484,29 @@ class TestQueryService:
         assert stats["completed"] == 2  # no phantom in-flight work
         assert stats["errors"] == 2
 
+    def test_batch_records_each_query_own_latency(self, figure_dataspace, monkeypatch):
+        # One slow query among fast ones must surface in the tail: each slot
+        # records its own evaluation time, not the batch wall time / size.
+        from repro.engine.prepared import PreparedQuery
+
+        queries = [ICN_QUERY, SCN_QUERY, "ORDER", "//CONTACT_NAME", "ORDER/SUPPLIER_PARTY"]
+        slow = figure_dataspace.prepare("ORDER")
+        original = PreparedQuery.execute
+
+        def execute(self, **kwargs):
+            if self is slow:
+                import time
+
+                time.sleep(0.2)
+            return original(self, **kwargs)
+
+        monkeypatch.setattr(PreparedQuery, "execute", execute)
+        with QueryService(figure_dataspace, max_workers=4, use_cache=False) as service:
+            service.execute_many(queries)
+            latency = service.stats()["latency_ms"]
+        assert latency["p99"] >= 150.0
+        assert latency["p50"] < 50.0
+
     def test_stats_expose_worker_count(self, figure_dataspace):
         with QueryService(figure_dataspace, max_workers=3) as service:
             assert service.max_workers == 3
