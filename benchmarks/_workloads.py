@@ -64,3 +64,18 @@ def best_of(rounds: int, func, *args, **kwargs) -> tuple[float, object]:
         elapsed, result = time_query(func, *args, **kwargs)
         best = min(best, elapsed)
     return best, result
+
+
+def best_of_paired(rounds: int, first, second) -> tuple[float, float]:
+    """Best elapsed seconds of ``first`` and of ``second`` over alternating rounds.
+
+    For gates that compare two code paths.  Timing all rounds of one path and
+    then all rounds of the other lets a change in the host's speed between the
+    two phases show up as a difference between the paths; alternating them
+    exposes both to the same conditions.
+    """
+    best_first = best_second = float("inf")
+    for _ in range(max(1, rounds)):
+        best_first = min(best_first, time_query(first)[0])
+        best_second = min(best_second, time_query(second)[0])
+    return best_first, best_second

@@ -17,7 +17,7 @@ from repro.engine import Dataspace
 from repro.workloads.queries import QUERY_IDS
 
 from _workloads import (
-    best_of,
+    best_of_paired,
     build_block_tree,
     build_mapping_set,
     evaluate_ptq_blocktree,
@@ -51,8 +51,7 @@ def test_engine_overhead_fig9f(benchmark, experiment_report):
 
     benchmark.pedantic(run_engine, rounds=3, iterations=1)
 
-    engine_time, _ = best_of(5, run_engine)
-    direct_time, _ = best_of(5, run_direct)
+    engine_time, direct_time = best_of_paired(5, run_engine, run_direct)
     overhead = engine_time / direct_time - 1.0 if direct_time > 0 else 0.0
 
     report = experiment_report(

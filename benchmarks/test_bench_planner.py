@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro.engine import Dataspace
 
-from _workloads import best_of
+from _workloads import best_of, best_of_paired
 from test_bench_corpus_scatter import (
     NUM_SHARDS,
     QUERIES as CATALOGUE_QUERIES,
@@ -86,8 +86,8 @@ def test_planner_never_slower_than_fixed(benchmark, experiment_report):
         # The fixed sweep warms resolve/filter memos; the first routed sweep
         # then feeds the planner its first measurements — exactly the
         # serving-traffic sequence the conservative model is designed for.
-        fixed_time, _ = best_of(ROUNDS, fixed_sweep)
-        routed_time, _ = best_of(ROUNDS, routed_sweep)
+        # The two sweeps alternate so both see the same host conditions.
+        fixed_time, routed_time = best_of_paired(ROUNDS, fixed_sweep, routed_sweep)
         ratio = routed_time / fixed_time if fixed_time > 0 else 1.0
         ratios[dataset_id] = ratio
         report.add_row(

@@ -31,6 +31,10 @@ from repro.service import QueryService, workload_queries
 from repro.workloads.datasets import DATASET_IDS
 from repro.workloads.queries import QUERY_ALIASES, QUERY_STRINGS, load_query
 
+#: Bitset kernels the compiled plan runs on.  Python ints are the only
+#: implementation; the axis keeps each snapshot's case id naming them.
+KERNELS = ("python",)
+
 #: Mapping-set size for the golden fixtures (kept small so all ten datasets
 #: stay cheap to build; the differential suites cover other sizes).
 GOLDEN_H = 25
@@ -77,10 +81,12 @@ def update_golden(request):
     return request.config.getoption("--update-golden")
 
 
+@pytest.mark.parametrize("kernels", KERNELS)
 @pytest.mark.parametrize("dataset_id", DATASET_IDS)
-def test_golden_answers(dataset_id, update_golden):
+def test_golden_answers(dataset_id, kernels, update_golden):
     queries = workload_queries(dataset_id, limit=GOLDEN_QUERIES)
     session = Dataspace.from_dataset(dataset_id, h=GOLDEN_H)
+    assert kernels == "python" and type(session.compiled.all_mask) is int
     # The service path below runs the engine's default plan — the compiled
     # bitset core — so these snapshots pin the compiled plan byte-exactly
     # against answers generated from the seed free functions.
