@@ -1,9 +1,10 @@
 """Ablation — lazy (best-first) vs exhaustive partition-ranking merge.
 
 Algorithm 5 merges per-partition rankings pairwise.  The library's default is
-a heap-based best-first merge that materialises only O(h) combinations per
-step; the ablation compares it against the exhaustive O(h²) cross-product
-merge to quantify the benefit (both produce identical mapping sets).
+a best-first merge that scores only the O(h log h) index pairs that can reach
+the top h and materialises h combinations per step; the ablation compares it
+against the exhaustive O(h²) cross-product merge to quantify the benefit
+(both produce identical mapping sets).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def test_ablation_merge_strategy(benchmark, experiment_report, h):
     )
     report = experiment_report(
         "ablation-merge",
-        "Ablation: partition-ranking merge strategy, lazy (heap) vs exhaustive (cross product), D7",
+        "Ablation: partition-ranking merge strategy, lazy (best-first) vs exhaustive (cross product), D7",
     )
     report.add_row(
         f"h={h:<4}",

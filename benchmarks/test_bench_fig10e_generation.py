@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.mapping.assignment import available_backends
 from repro.mapping.generator import generate_top_h_mappings
 from repro.mapping.partition import partition_matching
 from repro.workloads.datasets import DATASET_IDS
@@ -34,6 +35,10 @@ def test_fig10e_partition_generation(benchmark, experiment_report, dataset_id):
         iterations=1,
     )
 
+    # The full-bipartite Murty baseline is the one caller large enough for
+    # SciPy, which loads on first use: load it untimed, so Tg measures
+    # generation only.
+    available_backends()
     partition_time, _ = time_query(generate_top_h_mappings, matching, H, method="partition")
     murty_time, _ = time_query(generate_top_h_mappings, matching, H, method="murty")
     partitions = partition_matching(matching)

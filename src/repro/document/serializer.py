@@ -7,7 +7,6 @@ to other tools and round-tripped in tests; it is not on the query hot path.
 from __future__ import annotations
 
 import re
-from xml.sax.saxutils import escape, unescape
 
 from repro.document.document import XMLDocument
 from repro.exceptions import DocumentError
@@ -16,6 +15,16 @@ from repro.schema.schema import Schema
 __all__ = ["document_to_xml", "parse_document_xml"]
 
 _INDENT = "  "
+
+
+# The three character-data entities, as in ``xml.sax.saxutils``; that module
+# pulls in ``urllib.request`` and ``http.client`` on import.
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _unescape(text: str) -> str:
+    return text.replace("&lt;", "<").replace("&gt;", ">").replace("&amp;", "&")
 
 
 def document_to_xml(document: XMLDocument) -> str:
@@ -30,7 +39,7 @@ def document_to_xml(document: XMLDocument) -> str:
             if node.value is None:
                 lines.append(f"{indent}<{node.label}/>")
             else:
-                lines.append(f"{indent}<{node.label}>{escape(node.value)}</{node.label}>")
+                lines.append(f"{indent}<{node.label}>{_escape(node.value)}</{node.label}>")
         else:
             lines.append(f"{indent}<{node.label}>")
             for child in node.children:
@@ -63,7 +72,7 @@ def parse_document_xml(text: str, schema: Schema, name: str = "document") -> XML
     stack: list = []  # document nodes currently open
     for match in _TOKEN_RE.finditer(text):
         if match.group("text") is not None:
-            content = unescape(match.group("text"))
+            content = _unescape(match.group("text"))
             if content.strip() and stack:
                 stack[-1].value = content.strip()
             continue

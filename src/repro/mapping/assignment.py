@@ -12,7 +12,10 @@ ranking and the partition-based generator create:
 
 ``"auto"`` picks SciPy for matrices above a size threshold when available and
 the pure-Python solver otherwise, so the library has no hard dependency on
-SciPy.
+SciPy.  NumPy and SciPy are imported on first use (the first solve that
+picks the SciPy backend, or :func:`available_backends`), never at import
+time.  The partition-based generator's per-partition problems usually stay
+below the threshold, so most processes never load either library.
 
 All solvers work on the *maximisation* problem with implicit zero-weight
 "stay unmatched" edges: the returned edge set only ever contains real
@@ -21,7 +24,8 @@ All solvers work on the *maximisation* problem with implicit zero-weight
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.exceptions import AssignmentError
 from repro.mapping.bipartite import BipartiteGraph
@@ -31,17 +35,21 @@ __all__ = ["solve_max_weight_matching", "hungarian_min_cost", "available_backend
 
 _SCIPY_THRESHOLD = 64  # matrix side above which "auto" prefers SciPy
 
-try:  # pragma: no cover - exercised implicitly depending on the environment
-    import numpy as _np
-    from scipy.optimize import linear_sum_assignment as _linear_sum_assignment
-except Exception:  # pragma: no cover
-    _np = None
-    _linear_sum_assignment = None
+
+@lru_cache(maxsize=1)
+def _load_scipy() -> tuple[Any, Callable[..., Any]] | None:
+    """Import NumPy and SciPy's solver once; ``None`` when either is unusable."""
+    try:
+        import numpy
+        from scipy.optimize import linear_sum_assignment
+    except Exception:
+        return None
+    return numpy, linear_sum_assignment
 
 
 def available_backends() -> tuple[str, ...]:
     """Return the assignment backends usable in this environment."""
-    if _linear_sum_assignment is not None:
+    if _load_scipy() is not None:
         return ("python", "scipy")
     return ("python",)
 
@@ -217,22 +225,22 @@ def _solve_dense(
     """Solve the free part of the problem on a dense matrix."""
     if backend not in ("auto", "python", "scipy"):
         raise AssignmentError(f"unknown assignment backend {backend!r}")
-    if backend == "scipy" and _linear_sum_assignment is None:
-        raise AssignmentError("the scipy backend was requested but SciPy is not installed")
-    use_scipy = backend == "scipy" or (
-        backend == "auto"
-        and _linear_sum_assignment is not None
-        and max(len(rows), len(cols)) > _SCIPY_THRESHOLD
+    wants_scipy = backend == "scipy" or (
+        backend == "auto" and max(len(rows), len(cols)) > _SCIPY_THRESHOLD
     )
+    scipy = _load_scipy() if wants_scipy else None
+    if scipy is None and backend == "scipy":
+        raise AssignmentError("the scipy backend was requested but SciPy is not installed")
 
     row_index = {source_id: i for i, source_id in enumerate(rows)}
     col_index = {target_id: j for j, target_id in enumerate(cols)}
 
-    if use_scipy:
-        matrix = _np.zeros((len(rows), len(cols)), dtype=float)
+    if scipy is not None:
+        numpy, linear_sum_assignment = scipy
+        matrix = numpy.zeros((len(rows), len(cols)), dtype=float)
         for (source_id, target_id), weight in weights.items():
             matrix[row_index[source_id], col_index[target_id]] = weight
-        assigned_rows, assigned_cols = _linear_sum_assignment(matrix, maximize=True)
+        assigned_rows, assigned_cols = linear_sum_assignment(matrix, maximize=True)
         pairs = zip(assigned_rows.tolist(), assigned_cols.tolist())
     else:
         # Maximise by minimising (max_weight - w); implicit zero edges become

@@ -135,18 +135,21 @@ class MappingSet:
         return self
 
     def _validate(self) -> None:
+        # Mappings share most of their pairs: look each distinct one up once.
+        known: set[tuple[int, int]] = set()
         for index, mapping in enumerate(self._mappings):
             if mapping.mapping_id != index:
                 raise MappingError(
                     f"mapping at position {index} has id {mapping.mapping_id}; ids must be "
                     "their positions"
                 )
-            for source_id, target_id in mapping.correspondences:
+            for source_id, target_id in mapping.correspondences - known:
                 if self.matching.get(source_id, target_id) is None:
                     raise MappingError(
                         f"mapping {index} uses pair ({source_id}, {target_id}) which is not a "
                         f"correspondence of matching {self.matching.name!r}"
                     )
+            known |= mapping.correspondences
         total_probability = sum(m.probability for m in self._mappings)
         if abs(total_probability - 1.0) > 1e-6:
             raise MappingError(

@@ -13,19 +13,20 @@ can be obtained by
 Two merge strategies are provided:
 
 * ``"lazy"`` (default) — a best-first merge over the cross product of two
-  ranked lists using a heap; only O(h) combinations are materialised per
-  merge step.
+  ranked lists: only the O(h log h) index pairs that can still reach the top
+  h are scored, and only the h survivors are materialised per merge step.
 * ``"exhaustive"`` — materialise all |A| × |B| combinations and keep the best
   h; quadratic, used as the ablation baseline for the merge-strategy study.
 """
 
 from __future__ import annotations
 
-import heapq
+from typing import Any, Callable
 
 from repro.exceptions import AssignmentError, MappingError
 from repro.mapping.bipartite import BipartiteGraph
 from repro.mapping.murty import RankedMapping, rank_graph_murty
+from repro.matching.correspondence import CorrespondenceKey
 from repro.matching.matching import SchemaMatching
 
 __all__ = ["partition_matching", "merge_rankings", "rank_mappings_partitioned"]
@@ -62,7 +63,7 @@ def merge_rankings(
     h:
         Number of combinations to keep.
     strategy:
-        ``"lazy"`` (heap-based best-first enumeration) or ``"exhaustive"``
+        ``"lazy"`` (best-first enumeration) or ``"exhaustive"``
         (full cross product, used as an ablation baseline).
 
     Raises
@@ -70,6 +71,17 @@ def merge_rankings(
     MappingError
         If ``h`` is not positive or the strategy is unknown.
     """
+    return _merge(first, second, h, strategy, frozenset.union)
+
+
+def _merge(
+    first: list[tuple[float, Any]],
+    second: list[tuple[float, Any]],
+    h: int,
+    strategy: str,
+    combine: Callable[[Any, Any], Any],
+) -> list[tuple[float, Any]]:
+    """:func:`merge_rankings` with ``combine`` joining two payloads."""
     if h <= 0:
         raise MappingError(f"h must be positive, got {h}")
     if not first:
@@ -79,9 +91,9 @@ def merge_rankings(
 
     if strategy == "exhaustive":
         combinations = [
-            (score_a + score_b, edges_a | edges_b)
-            for score_a, edges_a in first
-            for score_b, edges_b in second
+            (score_a + score_b, combine(payload_a, payload_b))
+            for score_a, payload_a in first
+            for score_b, payload_b in second
         ]
         combinations.sort(key=lambda item: -item[0])
         return combinations[:h]
@@ -89,20 +101,19 @@ def merge_rankings(
     if strategy != "lazy":
         raise MappingError(f"unknown merge strategy {strategy!r}; expected 'lazy' or 'exhaustive'")
 
-    # Best-first enumeration of index pairs (i, j) ordered by score sum.
-    merged: list[RankedMapping] = []
-    visited: set[tuple[int, int]] = {(0, 0)}
-    heap = [(-(first[0][0] + second[0][0]), 0, 0)]
-    while heap and len(merged) < h:
-        negative_score, i, j = heapq.heappop(heap)
-        merged.append((-negative_score, first[i][1] | second[j][1]))
-        if i + 1 < len(first) and (i + 1, j) not in visited:
-            visited.add((i + 1, j))
-            heapq.heappush(heap, (-(first[i + 1][0] + second[j][0]), i + 1, j))
-        if j + 1 < len(second) and (i, j + 1) not in visited:
-            visited.add((i, j + 1))
-            heapq.heappush(heap, (-(first[i][0] + second[j + 1][0]), i, j + 1))
-    return merged
+    # Index pairs (i, j) ordered by (-score sum, i, j).  Both lists are sorted,
+    # so the (i + 1)(j + 1) - 1 pairs dominated by (i, j) all precede it: only
+    # pairs with (i + 1)(j + 1) <= h can make the top h, about h ln h of them.
+    candidates = [
+        (-(score_a + score_b), i, j)
+        for j, (score_b, _) in enumerate(second[:h])
+        for i, (score_a, _) in enumerate(first[: h // (j + 1)])
+    ]
+    candidates.sort()
+    return [
+        (-negative_score, combine(first[i][1], second[j][1]))
+        for negative_score, i, j in candidates[:h]
+    ]
 
 
 def rank_mappings_partitioned(
@@ -128,8 +139,24 @@ def rank_mappings_partitioned(
     if not partitions:
         return [(0.0, frozenset())]
 
-    combined: list[RankedMapping] = [(0.0, frozenset())]
+    # A combined mapping is held as a chain ``(earlier chain, partition
+    # edges)`` rather than a set: each merge then costs O(1) per kept
+    # combination instead of copying the ever-growing union, and only the h
+    # survivors are flattened at the end.
+    combined: list[tuple[float, Any]] = [(0.0, ())]
     for partition in partitions:
         ranking = rank_graph_murty(partition, h, backend=backend)
-        combined = merge_rankings(combined, ranking, h, strategy=merge_strategy)
-    return combined
+        combined = _merge(combined, ranking, h, merge_strategy, _link)
+    return [(score, _flatten(chain)) for score, chain in combined]
+
+
+def _link(chain: Any, edges: frozenset[CorrespondenceKey]) -> Any:
+    return (chain, edges)
+
+
+def _flatten(chain: Any) -> frozenset[CorrespondenceKey]:
+    parts: list[frozenset[CorrespondenceKey]] = []
+    while chain:
+        chain, edges = chain
+        parts.append(edges)
+    return frozenset().union(*parts)

@@ -96,22 +96,25 @@ class SchemaMatcher:
     # Feature extraction
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _element_tokens(element: SchemaElement) -> tuple[str, ...]:
-        return tokenize(element.label)
+    def _child_tokens(schema: Schema) -> dict[int, tuple[str, ...]]:
+        """Sorted distinct label tokens of each element's children, by id."""
+        return {
+            element.element_id: tuple(
+                sorted({token for child in element.children for token in tokenize(child.label)})
+            )
+            for element in schema
+        }
 
-    @staticmethod
-    def _child_tokens(element: SchemaElement) -> tuple[str, ...]:
-        tokens: list[str] = []
-        for child in element.children:
-            tokens.extend(tokenize(child.label))
-        return tuple(sorted(set(tokens)))
-
-    def _score_pair(self, source: SchemaElement, target: SchemaElement) -> float:
+    def _score_pair(
+        self,
+        source: SchemaElement,
+        target: SchemaElement,
+        source_children: tuple[str, ...],
+        target_children: tuple[str, ...],
+    ) -> float:
         """Combined similarity score of an element pair, before noise."""
         linguistic = name_similarity(source.label, target.label)
-        structural = token_set_similarity(
-            self._child_tokens(source), self._child_tokens(target)
-        )
+        structural = token_set_similarity(source_children, target_children)
         if self.config.strategy == "fragment":
             return 0.7 * linguistic + 0.3 * structural
         # Context strategy: compare the full root paths, which disambiguates
@@ -162,11 +165,16 @@ class SchemaMatcher:
         if config.strategy == "fragment":
             threshold += config.fragment_threshold_bonus
 
+        source_children = self._child_tokens(source)
+        target_children = self._child_tokens(target)
         scored: list[Correspondence] = []
         for source_id, target_id in sorted(self._candidate_pairs(source, target)):
-            source_element = source.get(source_id)
-            target_element = target.get(target_id)
-            score = self._score_pair(source_element, target_element)
+            score = self._score_pair(
+                source.get(source_id),
+                target.get(target_id),
+                source_children[source_id],
+                target_children[target_id],
+            )
             if config.noise:
                 # Multiplicative perturbation keeps scores in [0, 1] without
                 # clipping, so near-ties stay near ties instead of collapsing

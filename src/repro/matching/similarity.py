@@ -73,26 +73,52 @@ def normalize_tokens(label: str) -> tuple[str, ...]:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic Levenshtein edit distance between two strings."""
+    """Classic Levenshtein edit distance between two strings.
+
+    Computed with Myers' bit-vector algorithm in Hyyrö's formulation for
+    global edit distance: one column of the dynamic-programming matrix is
+    held as vertical +1/-1 delta bit-vectors over the shorter string, so each
+    character of the longer string costs a handful of integer operations
+    instead of a row of ``min`` calls.  The distance is the same integer the
+    textbook recurrence gives.
+    """
     if a == b:
         return 0
     if not a:
         return len(b)
     if not b:
         return len(a)
-    # Keep the shorter string in the inner loop for a smaller row.
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    # Bit i of match[c] is set when b[i] == c.
+    match: dict[str, int] = {}
+    bit = 1
+    for char in b:
+        match[char] = match.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    plus_v, minus_v = mask, 0  # vertical deltas: D[i][j] - D[i-1][j] is +1 / -1
+    distance = len(b)
+    for char in a:
+        eq = match.get(char, 0)
+        x_v = eq | minus_v
+        x_h = (((eq & plus_v) + plus_v) ^ plus_v) | eq
+        plus_h = minus_v | (~(x_h | plus_v) & mask)
+        minus_h = plus_v & x_h
+        if plus_h & last:
+            distance += 1
+        elif minus_h & last:
+            distance -= 1
+        # Row 0 grows by one per column (D[0][j] = j), so shift in a +1.
+        plus_h = (plus_h << 1) | 1
+        minus_h <<= 1
+        plus_v = (minus_h | ~(x_v | plus_h)) & mask
+        minus_v = plus_h & x_v
+    return distance
 
 
+@lru_cache(maxsize=262144)
 def edit_similarity(a: str, b: str) -> float:
     """Normalised edit similarity in ``[0, 1]`` (1 means equal strings)."""
     if not a and not b:
@@ -133,15 +159,10 @@ def token_set_similarity(tokens_a: tuple[str, ...], tokens_b: tuple[str, ...]) -
         tokens_a, tokens_b = tokens_b, tokens_a
     total = 0.0
     for token in tokens_a:
-        best = 0.0
-        for other in tokens_b:
-            if token == other:
-                best = 1.0
-                break
-            similarity = edit_similarity(token, other)
-            if similarity > best:
-                best = similarity
-        total += best
+        if token in tokens_b:
+            total += 1.0
+        else:
+            total += max([edit_similarity(token, other) for other in tokens_b])
     coverage = total / len(tokens_a)
     length_penalty = len(tokens_a) / len(tokens_b)
     return coverage * (0.5 + 0.5 * length_penalty)
@@ -179,10 +200,10 @@ def path_similarity(path_a: str, path_b: str) -> float:
     """
     if path_a == path_b:
         return 1.0
-    tokens_a: tuple[str, ...] = tuple(
-        token for label in path_a.split(".") for token in normalize_tokens(label)
-    )
-    tokens_b: tuple[str, ...] = tuple(
-        token for label in path_b.split(".") for token in normalize_tokens(label)
-    )
-    return token_set_similarity(tuple(sorted(set(tokens_a))), tuple(sorted(set(tokens_b))))
+    return token_set_similarity(_path_tokens(path_a), _path_tokens(path_b))
+
+
+@lru_cache(maxsize=65536)
+def _path_tokens(path: str) -> tuple[str, ...]:
+    """Sorted distinct normalised tokens of every label on a dotted path."""
+    return tuple(sorted({token for label in path.split(".") for token in normalize_tokens(label)}))

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import AssignmentError
+from repro.mapping import assignment
 from repro.mapping.assignment import (
     available_backends,
     hungarian_min_cost,
@@ -182,3 +188,53 @@ class TestSolveMaxWeightMatching:
         score, edges = solve_max_weight_matching(graph, backend="python")
         assert score == 0.0
         assert edges == frozenset()
+
+
+def large_graph(side: int = 70) -> BipartiteGraph:
+    """A graph whose side exceeds the size above which "auto" prefers SciPy."""
+    weights = {(i, (i * 7) % side): 0.5 + (i % 5) / 10 for i in range(side)}
+    weights.update({(i, (i * 7 + 1) % side): 0.3 for i in range(side)})
+    return BipartiteGraph(list(range(side)), list(range(side)), weights)
+
+
+@pytest.fixture()
+def scipy_unavailable(monkeypatch):
+    """Make ``import scipy.optimize`` fail, with a fresh solver loader."""
+    assignment._load_scipy.cache_clear()
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    yield
+    assignment._load_scipy.cache_clear()
+
+
+class TestLazySciPy:
+    def test_auto_falls_back_to_python_without_scipy(self, scipy_unavailable, monkeypatch):
+        calls = []
+        solve = assignment.hungarian_min_cost
+        monkeypatch.setattr(
+            assignment, "hungarian_min_cost", lambda cost: calls.append(1) or solve(cost)
+        )
+        graph = large_graph()
+        assert available_backends() == ("python",)
+        auto = solve_max_weight_matching(graph, backend="auto")
+        assert calls
+        assert auto == solve_max_weight_matching(graph, backend="python")
+
+    def test_scipy_backend_raises_without_scipy(self, scipy_unavailable, small_graph):
+        with pytest.raises(AssignmentError):
+            solve_max_weight_matching(small_graph, backend="scipy")
+
+    def test_serving_stack_never_imports_scipy_or_numpy(self):
+        src = Path(assignment.__file__).resolve().parents[2]
+        script = (
+            "import sys\n"
+            "import repro, repro.engine, repro.net, repro.service, repro.cli\n"
+            "repro.Dataspace.from_dataset('D7', h=100).mapping_set\n"
+            "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert completed.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.matching.similarity import (
+    _path_tokens,
     edit_similarity,
     levenshtein,
     name_similarity,
@@ -14,6 +15,20 @@ from repro.matching.similarity import (
     tokenize,
     trigram_similarity,
 )
+from repro.schema.corpus import load_corpus_schema
+from repro.workloads.datasets import DATASET_IDS, DATASET_SPECS
+
+
+def textbook_levenshtein(a: str, b: str) -> int:
+    """The dynamic-programming recurrence, row by row."""
+    previous = list(range(len(b) + 1))
+    for i, char_a in enumerate(a, start=1):
+        current = [i]
+        for j, char_b in enumerate(b, start=1):
+            cost = 0 if char_a == char_b else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[-1]
 
 
 class TestTokenize:
@@ -61,6 +76,23 @@ class TestLevenshtein:
 
     def test_triangle_like_bound(self):
         assert levenshtein("abc", "xyz") <= 3
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("kitten", "sitting"),
+            ("a", "b"),
+            ("ab", "ba"),
+            ("aaaa", "aa"),
+            ("abcdefgh", "hgfedcba"),
+            # Longer than one 64-bit machine word on both sides.
+            ("ab" * 40 + "c", "ba" * 45),
+            ("x" * 70, "x" * 69 + "y" * 3),
+        ],
+    )
+    def test_matches_textbook_recurrence(self, a, b):
+        assert levenshtein(a, b) == textbook_levenshtein(a, b)
+        assert levenshtein(b, a) == textbook_levenshtein(a, b)
 
 
 class TestNormalizedSimilarities:
@@ -122,6 +154,37 @@ class TestNameSimilarity:
         )
 
 
+def corpus_strings(schema_name: str) -> set[str]:
+    """Every string the matcher edit-compares for one corpus schema."""
+    strings: set[str] = set()
+    for element in load_corpus_schema(schema_name):
+        strings.update(tokenize(element.label))
+        strings.update(normalize_tokens(element.label))
+        strings.add("".join(normalize_tokens(element.label)))
+    return strings
+
+
+class TestEditSimilarityMemo:
+    """``edit_similarity`` is memoised; the memo must not change a single bit."""
+
+    def test_memo_is_bit_identical_over_the_corpus(self):
+        pairs: set[tuple[str, str]] = set()
+        for dataset_id in DATASET_IDS:
+            spec = DATASET_SPECS[dataset_id]
+            targets = corpus_strings(spec.target)
+            pairs.update((a, b) for a in corpus_strings(spec.source) for b in targets)
+        assert len(pairs) > 40_000
+        for a, b in sorted(pairs):
+            direct = edit_similarity.__wrapped__(a, b)
+            assert edit_similarity(a, b).hex() == direct.hex(), (a, b)
+            # Again, now served from the memo.
+            assert edit_similarity(a, b).hex() == direct.hex(), (a, b)
+            assert levenshtein(a, b) == textbook_levenshtein(a, b), (a, b)
+
+    def test_memo_is_bounded(self):
+        assert edit_similarity.cache_info().maxsize == 262144
+
+
 class TestPathSimilarity:
     def test_identical(self):
         assert path_similarity("Order.Buyer.Address", "Order.Buyer.Address") == 1.0
@@ -133,3 +196,6 @@ class TestPathSimilarity:
 
     def test_bounded(self):
         assert 0.0 <= path_similarity("Order.TaxSummary", "ORDER.CUSTOMS_INFO") <= 1.0
+
+    def test_path_tokens_sorted_distinct_normalised(self):
+        assert _path_tokens("Order.ShipToParty.Order") == ("deliver", "order", "party", "to")
