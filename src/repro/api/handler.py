@@ -39,7 +39,6 @@ from repro.api.serialize import (
     delta_batch_report_to_json,
     delta_report_to_json,
     explain_to_json,
-    result_to_json,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,11 +119,12 @@ class ApiHandler:
         return self._service.dataspace.execute(query, k=k, plan=plan, use_cache=False)
 
     def query(self, request: QueryRequest) -> QueryResponse:
-        """Evaluate one query; the result payload is canonical JSON."""
+        """Evaluate one query; the response carries the engine's result,
+        whose canonical bytes are encoded once per result object."""
         result = self._execute(
             request.query, k=request.k, plan=request.plan, use_cache=request.use_cache
         )
-        return QueryResponse(query=request.query, result=result_to_json(result))
+        return QueryResponse(query=request.query, result=result)
 
     def batch(self, request: BatchRequest) -> BatchResponse:
         """Evaluate a batch with shared prefix work and one snapshot."""
@@ -141,10 +141,7 @@ class ApiHandler:
                 results = self._service.dataspace.query_batch(
                     queries, k=request.k, plan=request.plan, use_cache=False
                 )
-        return BatchResponse(
-            queries=tuple(queries),
-            results=tuple(result_to_json(result) for result in results),
-        )
+        return BatchResponse(queries=tuple(queries), results=tuple(results))
 
     def apply_delta(self, request: DeltaRequest) -> DeltaResponse:
         """Apply a mapping delta; returns the canonical delta report."""

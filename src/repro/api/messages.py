@@ -20,10 +20,11 @@ deliberately blunt: a mismatched ``v`` is a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Optional, Type, Union
+from functools import lru_cache
+from typing import Any, ClassVar, Optional, Type, Union, get_args, get_origin, get_type_hints
 
 from repro.api.errors import BadRequestError, ProtocolError, error_from_wire, wire_error
-from repro.api.serialize import canonical_json
+from repro.api.serialize import _result_bytes, canonical_json, result_to_json
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -74,6 +75,118 @@ def _check_envelope(payload: Any) -> tuple[str, dict]:
     return op, body
 
 
+def _payload(value: Any) -> dict:
+    """A result payload dict, given the dict or the ``PTQResult`` itself."""
+    return value if isinstance(value, dict) else result_to_json(value)
+
+
+def _payload_bytes(value: Any) -> bytes:
+    """Canonical bytes of :func:`_payload`, memoised per ``PTQResult``."""
+    return canonical_json(value) if isinstance(value, dict) else _result_bytes(value)
+
+
+class _Result:
+    """Dataclass field descriptor for the result payload of a response.
+
+    The field takes the canonical payload dict
+    (:func:`~repro.api.serialize.result_to_json`), as decoded or hand-built
+    responses carry it, or the engine's ``PTQResult`` itself, as
+    :class:`~repro.api.handler.ApiHandler` hands it over.  Reading the field
+    always yields the payload dict.  :func:`encode_message` splices a
+    result's memoised canonical bytes instead of building the dict, so a
+    cached result is encoded once however often it is served.
+    """
+
+    #: JSON type a decoded body must hold in this field.
+    wire_type: ClassVar[Any] = dict
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, obj: Any, owner: Any = None) -> Any:
+        if obj is None:
+            return None  # the field's default
+        return _payload(obj.__dict__[self._slot])
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        obj.__dict__[self._slot] = {} if value is None else value
+
+    def encode(self, obj: Any) -> bytes:
+        """Canonical JSON bytes of the field's value."""
+        return _payload_bytes(obj.__dict__[self._slot])
+
+
+class _ResultTuple(_Result):
+    """:class:`_Result` for a tuple of result payloads."""
+
+    wire_type: ClassVar[Any] = tuple[dict, ...]
+
+    def __get__(self, obj: Any, owner: Any = None) -> Any:
+        if obj is None:
+            return ()
+        return tuple(map(_payload, obj.__dict__[self._slot]))
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        obj.__dict__[self._slot] = tuple(value)
+
+    def encode(self, obj: Any) -> bytes:
+        return b"[" + b",".join(map(_payload_bytes, obj.__dict__[self._slot])) + b"]"
+
+
+#: JSON spelling of the Python types a body field may declare.
+_JSON_NAMES = {
+    str: "string",
+    bool: "boolean",
+    int: "integer",
+    float: "number",
+    dict: "object",
+    list: "array",
+    tuple: "array",
+    type(None): "null",
+}
+
+
+@lru_cache(maxsize=None)
+def _wire_types(cls: type) -> dict[str, Any]:
+    """Declared type of each body field of a message class."""
+    hints = get_type_hints(cls)
+    declared = {}
+    for item in fields(cls):
+        hint = hints[item.name]
+        if isinstance(hint, type) and issubclass(hint, _Result):
+            hint = hint.wire_type
+        declared[item.name] = hint
+    return declared
+
+
+def _conforms(value: Any, hint: Any) -> bool:
+    """Whether a decoded JSON value has a body field's declared type.
+
+    ``bool`` is not an ``int`` here, and a ``tuple`` field takes a JSON array.
+    """
+    if hint is bool:
+        return isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is tuple:
+        return isinstance(value, list)
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return isinstance(value, list) and all(_conforms(v, item) for v in value)
+    if get_origin(hint) is Union:
+        return any(_conforms(value, arg) for arg in get_args(hint))
+    return isinstance(value, hint)
+
+
+def _type_name(hint: Any) -> str:
+    """JSON spelling of a declared field type, for error messages."""
+    if get_origin(hint) is tuple:
+        return f"array of {_type_name(get_args(hint)[0])}"
+    if get_origin(hint) is Union:
+        return " or ".join(_type_name(arg) for arg in get_args(hint))
+    return _JSON_NAMES[hint]
+
+
 @dataclass(frozen=True)
 class _Message:
     """Shared codec machinery of requests and responses."""
@@ -98,10 +211,15 @@ class _Message:
                 f"unknown field(s) for {cls.op!r}: {', '.join(sorted(unknown))}"
             )
         kwargs = {}
-        for item in fields(cls):
-            if item.name in body:
-                value = body[item.name]
-                kwargs[item.name] = tuple(value) if isinstance(value, list) else value
+        for name, hint in _wire_types(cls).items():
+            if name in body:
+                value = body[name]
+                if not _conforms(value, hint):
+                    raise BadRequestError(
+                        f"field {name!r} of {cls.op!r} must be "
+                        f"{_type_name(hint)}, got {_type_name(type(value))}"
+                    )
+                kwargs[name] = tuple(value) if isinstance(value, list) else value
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -239,20 +357,22 @@ class QueryResponse(Response):
 
     Deliberately free of timings or other volatile fields, so equal results
     encode to equal bytes and the differential suite can compare server
-    responses against in-process execution byte for byte."""
+    responses against in-process execution byte for byte.  ``result`` may
+    be given as the ``PTQResult`` itself; it reads back as the payload."""
 
     op: ClassVar[str] = "query"
     query: str = ""
-    result: dict = field(default_factory=dict)
+    result: _Result = _Result()
 
 
 @dataclass(frozen=True)
 class BatchResponse(Response):
-    """Results of a batch, positionally aligned with the request's queries."""
+    """Results of a batch, positionally aligned with the request's queries
+    (payload dicts or ``PTQResult`` objects, as for :class:`QueryResponse`)."""
 
     op: ClassVar[str] = "batch"
     queries: tuple[str, ...] = ()
-    results: tuple[dict, ...] = ()
+    results: _ResultTuple = _ResultTuple()
 
 
 @dataclass(frozen=True)
@@ -357,9 +477,34 @@ _RESPONSE_TYPES: dict[str, Type[Response]] = {
 }
 
 
+#: Result fields of each response class, which encode_message splices.
+_SPLICED: dict[type, dict[str, _Result]] = {
+    cls: {name: value for name, value in vars(cls).items() if isinstance(value, _Result)}
+    for cls in (QueryResponse, BatchResponse)
+}
+
+
 def encode_message(message: Union[Request, Response]) -> bytes:
-    """Encode a request or response to canonical envelope bytes."""
-    return canonical_json(message.to_json())
+    """Encode a request or response to canonical envelope bytes.
+
+    Equal to ``canonical_json(message.to_json())``; result fields are
+    spliced in as their memoised canonical bytes instead of being rebuilt.
+    """
+    cls = type(message)
+    results = _SPLICED.get(cls)
+    if results is None:
+        return canonical_json(message.to_json())
+    body = b",".join(
+        canonical_json(item.name)
+        + b":"
+        + (
+            results[item.name].encode(message)
+            if item.name in results
+            else canonical_json(getattr(message, item.name))
+        )
+        for item in sorted(fields(message), key=lambda item: item.name)
+    )
+    return b'{"body":{%b},"op":%b,"v":%d}' % (body, canonical_json(cls.op), PROTOCOL_VERSION)
 
 
 def _decode_payload(data: bytes) -> Any:

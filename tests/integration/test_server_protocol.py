@@ -30,8 +30,11 @@ import time
 import pytest
 
 from repro.api import (
+    PROTOCOL_VERSION,
+    BadRequestError,
     OverloadedError,
     QueryRequest,
+    decode_request,
     decode_response,
     encode_message,
 )
@@ -498,7 +501,36 @@ def http_exchange(port: int, request: bytes) -> tuple[int, dict]:
     return status, json.loads(body) if body else {}
 
 
+#: Request bodies with a field of the wrong JSON type.
+MISTYPED_BODIES = [
+    pytest.param("query", {"query": "Q1", "k": "3"}, id="k-string"),
+    pytest.param("query", {"query": "Q1", "k": True}, id="k-bool"),
+    pytest.param("query", {"query": "Q1", "k": 2.0}, id="k-float"),
+    pytest.param("query", {"query": "Q1", "use_cache": "no"}, id="use_cache-string"),
+    pytest.param("query", {"query": 5}, id="query-int"),
+    pytest.param("query", {"query": "Q1", "plan": 1}, id="plan-int"),
+    pytest.param("batch", {"queries": "Q1"}, id="queries-string"),
+    pytest.param("batch", {"queries": ["Q1", 2]}, id="queries-item-int"),
+    pytest.param("apply-delta", {"delta": ["x"]}, id="delta-array"),
+    pytest.param("calibrate", {"query": "Q1", "shard_counts": [2, True]}, id="shards-bool"),
+]
+
+
 class TestHttp:
+    @pytest.mark.parametrize("op, body", MISTYPED_BODIES)
+    def test_mistyped_field_is_bad_request(self, harness, service, op, body):
+        envelope = canonical_json({"v": PROTOCOL_VERSION, "op": op, "body": body})
+        with pytest.raises(BadRequestError, match="must be"):
+            ApiHandler(service).handle(decode_request(envelope))
+        payload = canonical_json(body)
+        status, reply = http_exchange(
+            harness.port,
+            f"POST /v1/{op} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload,
+        )
+        assert status == 400
+        assert reply["body"]["error"]["code"] == "bad-request"
+
     def test_health(self, harness):
         status, payload = http_exchange(
             harness.port, b"GET /v1/health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
