@@ -24,10 +24,8 @@ the same shapes in-process callers do.
 
 from __future__ import annotations
 
-import json
 import weakref
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from repro.api.errors import BadRequestError
@@ -107,33 +105,19 @@ def result_to_json(result: "PTQResult") -> dict:
 #: holds results (the result cache's capacity).
 _RESULT_BYTES: "weakref.WeakKeyDictionary[PTQResult, bytes]" = weakref.WeakKeyDictionary()
 
-#: :func:`canonical_json` minus key sorting, for dicts built in key order.
-_ORDERED_JSON = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
-
 
 def _result_bytes(result: "PTQResult") -> bytes:
     """``canonical_json(result_to_json(result))``, encoded once per result.
 
     Sound because a ``PTQResult`` is never mutated after construction and a
     result-cache hit returns the cached object itself, so every response
-    serving the same cached result splices the same bytes.  The bytes are
-    built without the canonical payload: each answer dict is written in
-    sorted key order and its matches as sorted tuples, which encode exactly
-    as the payload's sorted lists do.  Two threads encoding the same result
-    at once may both build the bytes; they are equal and the map keeps one.
+    serving the same cached result splices the same bytes.  Two threads
+    encoding the same result at once may both build the bytes; they are
+    equal and the map keeps one.
     """
     data = _RESULT_BYTES.get(result)
     if data is None:
-        answers = [
-            {
-                "mapping_id": answer.mapping_id,
-                "matches": sorted(answer.matches),
-                "probability": float(answer.probability).hex(),
-            }
-            for answer in sorted(result, key=attrgetter("mapping_id"))
-        ]
-        payload = {"answers": answers, "num_answers": len(answers)}
-        data = _RESULT_BYTES[result] = _ORDERED_JSON.encode(payload).encode("utf-8")
+        data = _RESULT_BYTES[result] = canonical_json(result_to_json(result))
     return data
 
 

@@ -24,7 +24,7 @@ from repro.api import (
     decode_response,
     encode_message,
 )
-from repro.api import serialize
+from repro.api import messages, serialize
 from repro.api.handler import ApiHandler
 from repro.api.serialize import canonical_json, result_to_json
 from repro.engine import Dataspace
@@ -119,27 +119,26 @@ class TestByteIdentity:
 # --------------------------------------------------------------------------- #
 class TestResultBytesMemo:
     def test_second_hit_reuses_the_encoded_bytes(self, monkeypatch):
-        encoded = []
-        rebuilt = []
+        calls = []
+        original = serialize.result_to_json
 
-        class CountingEncoder:
-            def encode(self, payload):
-                encoded.append(payload)
-                return original.encode(payload)
+        def counting_result_to_json(result):
+            calls.append(result)
+            return original(result)
 
-        original = serialize._ORDERED_JSON
-        monkeypatch.setattr(serialize, "_ORDERED_JSON", CountingEncoder())
-        monkeypatch.setattr(serialize, "result_to_json", rebuilt.append)
+        # Both names: the memo's, and the one ``to_json()`` falls back to.
+        monkeypatch.setattr(serialize, "result_to_json", counting_result_to_json)
+        monkeypatch.setattr(messages, "result_to_json", counting_result_to_json)
         with QueryService(Dataspace.from_dataset("D7", h=H), max_workers=2) as svc:
             handler = ApiHandler(svc)
             request = QueryRequest(query="Q7", k=10)
             first = encode_message(handler.handle(request))
             memo = serialize._RESULT_BYTES[svc.execute("Q7", k=10)]
+            assert len(calls) == 1
             second = encode_message(handler.handle(request))
             assert second == first
             assert serialize._RESULT_BYTES[svc.execute("Q7", k=10)] is memo
-            assert len(encoded) == 1
-            assert rebuilt == []
+            assert len(calls) == 1
 
     def test_delta_changing_the_answer_serves_fresh_bytes(self):
         with QueryService(Dataspace.from_dataset("D7", h=H), max_workers=2) as svc:
