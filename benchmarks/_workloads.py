@@ -16,6 +16,7 @@ Environment knobs
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from repro.core.blocktree import BlockTreeConfig, build_block_tree
@@ -66,16 +67,35 @@ def best_of(rounds: int, func, *args, **kwargs) -> tuple[float, object]:
     return best, result
 
 
-def best_of_paired(rounds: int, first, second) -> tuple[float, float]:
-    """Best elapsed seconds of ``first`` and of ``second`` over alternating rounds.
+def paired_rounds(rounds: int, first, second) -> list[tuple[float, float]]:
+    """Elapsed seconds of ``first`` and of ``second`` per round, alternating.
 
     For gates that compare two code paths.  Timing all rounds of one path and
     then all rounds of the other lets a change in the host's speed between the
     two phases show up as a difference between the paths; alternating them
     exposes both to the same conditions.
     """
-    best_first = best_second = float("inf")
-    for _ in range(max(1, rounds)):
-        best_first = min(best_first, time_query(first)[0])
-        best_second = min(best_second, time_query(second)[0])
-    return best_first, best_second
+    return [
+        (time_query(first)[0], time_query(second)[0]) for _ in range(max(1, rounds))
+    ]
+
+
+def best_of_paired(rounds: int, first, second) -> tuple[float, float]:
+    """Best elapsed seconds of ``first`` and of ``second`` over alternating rounds."""
+    pairs = paired_rounds(rounds, first, second)
+    return min(a for a, _ in pairs), min(b for _, b in pairs)
+
+
+def ratio_spread(pairs: list[tuple[float, float]]) -> dict[str, float]:
+    """Spread of the per-round ratio ``first / second`` of :func:`paired_rounds`.
+
+    Recorded next to a gate's best-of ratio, so a trajectory record shows
+    whether the ratio held in every round or only in the best ones.
+    """
+    ratios = [a / b if b > 0 else float("inf") for a, b in pairs]
+    return {
+        "min": round(min(ratios), 3),
+        "median": round(statistics.median(ratios), 3),
+        "max": round(max(ratios), 3),
+        "rounds": len(ratios),
+    }

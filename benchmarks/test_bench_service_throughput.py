@@ -7,8 +7,8 @@ interleaved round-robin) two ways:
   single-threaded caller paid before the service layer existed;
 * **service** — the same operation stream through per-dataset
   :class:`repro.service.QueryService` instances with a warm result cache,
-  each sized by the planner's
-  :func:`~repro.engine.planner.default_service_workers`; the executor
+  each sized by
+  :func:`~repro.service.service.default_service_workers`; the executor
   configuration used lands in the benchmark's ``extra_info`` and with it in
   the ``BENCH_<run>.json`` artifact.
 

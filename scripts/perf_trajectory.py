@@ -5,7 +5,10 @@ The CI ``perf-trajectory`` job runs the ratio-only benchmark gates with
 ``--benchmark-json`` and feeds the raw report(s) through this script, which
 strips the volatile bulk (per-round timings, full machine info) down to a
 small, stable trajectory record: one row per benchmark with its summary
-statistics, stamped with the CI run id and commit.  The resulting
+statistics, stamped with the CI run id, the commit and the line count of
+the package source (``src_lines``: the repository's ``src/**/*.py``, found
+relative to this script), so net source size is tracked beside the
+timings.  The resulting
 ``BENCH_<run>.json`` files are uploaded as workflow artifacts, so the perf
 trajectory of the project accumulates run by run instead of being discarded
 with each CI log.
@@ -24,10 +27,19 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-__all__ = ["normalise_report", "gate_ratio_summary", "build_trajectory", "main"]
+__all__ = [
+    "normalise_report",
+    "gate_ratio_summary",
+    "src_line_count",
+    "build_trajectory",
+    "main",
+]
 
 #: Trajectory record schema version (bump on incompatible shape changes).
 SCHEMA_VERSION = 2
+
+#: The package source whose size each record carries.
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 #: Benchmark statistics copied into a trajectory row (seconds).
 _STAT_FIELDS = ("min", "max", "mean", "stddev", "median", "rounds", "iterations")
@@ -105,6 +117,11 @@ def _machine_summary(payload: dict) -> dict:
     }
 
 
+def src_line_count(root: Path = SRC_ROOT) -> int:
+    """Lines (newline count, as ``wc -l``) of every ``*.py`` file under ``root``."""
+    return sum(path.read_bytes().count(b"\n") for path in root.rglob("*.py"))
+
+
 def build_trajectory(
     reports: Sequence[dict],
     *,
@@ -122,6 +139,7 @@ def build_trajectory(
         "run_id": run_id,
         "commit": commit,
         "timestamp": timestamp,
+        "src_lines": src_line_count(),
         "num_benchmarks": len(benchmarks),
         "machine": _machine_summary(reports[0]) if reports else {},
         "gate_ratios": gate_ratio_summary(benchmarks),

@@ -186,7 +186,6 @@ class ApiHandler:
             request.query,
             k=request.k,
             plans=list(request.plans) if request.plans is not None else None,
-            shard_counts=list(request.shard_counts),
         )
         return CalibrateResponse(
             timings={name: round(float(ms), 3) for name, ms in timings.items()}

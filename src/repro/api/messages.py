@@ -325,7 +325,6 @@ class CalibrateRequest(Request):
     query: str = ""
     k: Optional[int] = None
     plans: Optional[tuple[str, ...]] = None
-    shard_counts: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)

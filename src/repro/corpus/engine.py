@@ -14,8 +14,9 @@ Every shard evaluates on the compiled
 mapping set — shards of one session share that session's artifact (the
 compilation depends only on the mapping set, never on a document), while
 by-dataset shards compile genuinely independent sets — so per-shard
-evaluation runs the same rewrite-grouped bitset algebra as the engine's
-``compiled`` plan.  A query is answered scatter-gather:
+evaluation runs the engine's ``compiled`` plan's own rewrite derivation and
+matching (:func:`~repro.query.ptq.derive_rewrites`,
+:func:`~repro.query.ptq.match_rewrites`).  A query is answered scatter-gather:
 
 1. **resolve + select** — the query is prepared once per session; for top-k,
    candidate mappings are drawn session by session in descending order of
@@ -57,18 +58,15 @@ from repro.engine.compiled import CompiledMappingSet
 from repro.engine.dataspace import Dataspace, EngineSnapshot
 from repro.engine.delta import MappingDelta
 from repro.engine.streaming import DeltaBatch
-from repro.engine.planner import recommend_scatter_workers
 from repro.exceptions import CorpusError, QueryError
 from repro.mapping.mapping_set import iter_mapping_ids
-from repro.query.ptq import _canonicalize
+from repro.query.ptq import Rewrite, derive_rewrites, match_rewrites
 from repro.query.results import CanonicalMatch, PTQAnswer, PTQResult
-from repro.query.twigmatch import match_twig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.prepared import PreparedQuery
     from repro.mapping.mapping import Mapping
     from repro.query.resolve import Embedding
-    from repro.query.twig import TwigNode, TwigQuery
 
 __all__ = [
     "CorpusShard",
@@ -140,84 +138,20 @@ class _SessionState:
         self.max_probability = compiled.max_probability()
 
 
-class _Rewrite:
-    """One rewrite group: member mask plus the induced query-node element map."""
+def recommend_scatter_workers(num_shards: int) -> int:
+    """Thread-pool size for a scatter over ``num_shards`` shard tasks.
 
-    __slots__ = ("group_mask", "element_map", "signature", "elements", "spine_rooted")
-
-    def __init__(
-        self,
-        group_mask: int,
-        element_map: dict[int, int],
-        signature: tuple[tuple[int, int], ...],
-        elements: frozenset[int],
-        spine_rooted: bool,
-    ) -> None:
-        self.group_mask = group_mask
-        self.element_map = element_map
-        self.signature = signature
-        self.elements = elements
-        self.spine_rooted = spine_rooted
-
-
-def _rewrite_plan(
-    compiled: CompiledMappingSet,
-    query: "TwigQuery",
-    embeddings: list["Embedding"],
-    selected_mask: int,
-    spine_elements: frozenset[int],
-    branchy: bool,
-) -> list[_Rewrite]:
-    """Rewrite groups of the selected mappings, tagged for spine routing.
-
-    A rewrite is *spine-rooted* when the query is branchy and the rewrite
-    maps the query root to an element instantiated by a spine node — the one
-    shape whose matches can cross shard boundaries, so the corpus evaluates
-    it on the base document instead of per shard.
+    The bitset loops hold the GIL, so extra threads beyond the task count
+    would only add contention: the pool stays between 2 and 8 workers.
     """
-    query_nodes: list["TwigNode"] = list(query.root.iter_subtree())
-    root_id = query.root.node_id
-    plan: list[_Rewrite] = []
-    for embedding in embeddings:
-        for group_mask, assignment in compiled.rewrite_groups(
-            set(embedding.values()), selected_mask
-        ):
-            element_map = {
-                node.node_id: assignment[embedding[node.node_id]] for node in query_nodes
-            }
-            plan.append(
-                _Rewrite(
-                    group_mask,
-                    element_map,
-                    tuple(sorted(element_map.items())),
-                    frozenset(element_map.values()),
-                    branchy and element_map[root_id] in spine_elements,
-                )
-            )
-    return plan
+    return min(8, max(2, num_shards))
 
 
-def _evaluate_rewrites(
-    document, query_root: "TwigNode", rewrites: Sequence[_Rewrite]
-) -> tuple[dict[int, frozenset[CanonicalMatch]], int]:
-    """Match each distinct rewrite once; fan canonical matches out by bitmask."""
-    per_mapping: dict[int, frozenset[CanonicalMatch]] = {}
-    match_cache: dict[tuple[tuple[int, int], ...], frozenset[CanonicalMatch]] = {}
-    matches_found = 0
-    for rewrite in rewrites:
-        canonical = match_cache.get(rewrite.signature)
-        if canonical is None:
-            canonical = _canonicalize(
-                match_twig(document, query_root, rewrite.element_map)
-            )
-            match_cache[rewrite.signature] = canonical
-        matches_found += len(canonical)
-        for mapping_id in iter_mapping_ids(rewrite.group_mask):
-            existing = per_mapping.get(mapping_id)
-            per_mapping[mapping_id] = (
-                canonical if existing is None else existing | canonical
-            )
-    return per_mapping, matches_found
+def _matches_found(
+    rewrites: Sequence[Rewrite], by_signature: dict[tuple[int, ...], frozenset[CanonicalMatch]]
+) -> int:
+    """Matches a pass produced, counted once per rewrite group."""
+    return sum(len(by_signature[signature]) for _, signature in rewrites)
 
 
 # --------------------------------------------------------------------------- #
@@ -911,40 +845,52 @@ class ShardedCorpus:
                 )
                 seeds[g.entry_index] = {}
                 continue
-            selected_mask = state.compiled.mask_for(g.selected)
-            branchy = any(len(node.children) > 1 for node in g.prepared.query.nodes)
-            spine_elements = state.partition.spine_element_ids
-            plan = _rewrite_plan(
-                state.compiled, g.prepared.query, g.embeddings,
-                selected_mask, spine_elements, branchy,
+            # The rewrites are derived once per session from the shared
+            # compiled artifact (they depend only on the mapping set, never on
+            # a document); each shard just filters them against its own view.
+            rewrites = derive_rewrites(
+                g.prepared.query, state.compiled, g.embeddings,
+                state.compiled.mask_for(g.selected),
             )
             # Seed every selected-and-covering mapping with an empty match
             # set: merging only ever adds matches, so mappings whose matches
             # live in skipped shards (they would be empty there) still appear
             # in the merged result, exactly as in the unsharded plan.
             seed: dict[int, frozenset[CanonicalMatch]] = {}
-            for rewrite in plan:
-                for mapping_id in iter_mapping_ids(rewrite.group_mask):
+            for group_mask, _ in rewrites:
+                for mapping_id in iter_mapping_ids(group_mask):
                     seed.setdefault(mapping_id, frozenset())
             seeds[g.entry_index] = seed
-            spine_plan = [rewrite for rewrite in plan if rewrite.spine_rooted]
+            # A branchy query whose root is rewritten to an element a spine
+            # node instantiates is the one shape whose matches can cross
+            # shard boundaries: such rewrites run once on the base document.
+            # A signature starts with the root's element (ids are pre-order).
+            shard_plan: list[Rewrite] = rewrites
+            spine_plan: list[Rewrite] = []
+            if any(len(node.children) > 1 for node in g.prepared.query.nodes):
+                spine_elements = state.partition.spine_element_ids
+                shard_plan = []
+                for rewrite in rewrites:
+                    if rewrite[1][0] in spine_elements:
+                        spine_plan.append(rewrite)
+                    else:
+                        shard_plan.append(rewrite)
             spine_rewrites += len(spine_plan)
             if spine_plan:
                 tasks.append(
                     self._spine_task(g, spine_plan, k, base_signature, epochs, use_cache)
                 )
             for shard in state.shards:
-                usable = any(
-                    not rewrite.spine_rooted
-                    and rewrite.elements <= shard.document.present_elements
-                    for rewrite in plan
-                )
-                if not usable:
+                present = shard.document.present_elements
+                if not any(present.issuperset(signature) for _, signature in shard_plan):
                     skipped_local += 1
                     reports.append(self._static_report(shard, "skipped-local"))
                     continue
                 tasks.append(
-                    self._shard_task(g, shard, plan, k, base_signature, epochs, use_cache)
+                    self._shard_task(
+                        g, shard, shard_plan, len(spine_plan), k,
+                        base_signature, epochs, use_cache,
+                    )
                 )
 
         run_parallel = parallel if parallel is not None else len(tasks) > 1
@@ -1008,20 +954,6 @@ class ShardedCorpus:
             results[gathers[0].state.session.name] = cached_result
 
         reports.sort(key=lambda report: report.shard_id)
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        if self.is_homogeneous:
-            # Feed the owning session's cost model: scatter latencies are
-            # recorded per fan-out under "scatter:<n>" plan keys.  Cache-hit
-            # paths returned earlier, so only genuine evaluations land here.
-            snapshot = gathers[0].state.snapshot
-            planner.observe_scatter(
-                gathers[0].prepared.cache_key,
-                self.num_shards,
-                elapsed_ms,
-                state=(snapshot.generation, snapshot.delta_epoch),
-                fan_out=fan_out,
-                skipped=skipped_bound + skipped_empty + skipped_local,
-            )
         return CorpusExecution(
             query=query_text,
             k=k,
@@ -1035,7 +967,7 @@ class ShardedCorpus:
             duplicate_matches=raw_matches - merged_matches,
             cache=cache_state,
             generations=signature,
-            elapsed_ms=elapsed_ms,
+            elapsed_ms=(time.perf_counter() - started) * 1000.0,
             shard_reports=tuple(reports),
             results=results,
             answers=tuple(item[3] for item in answers),
@@ -1175,7 +1107,8 @@ class ShardedCorpus:
         self,
         gather: _Gather,
         shard: CorpusShard,
-        plan: list[_Rewrite],
+        plan: list[Rewrite],
+        num_deferred: int,
         k: Optional[int],
         base_signature: tuple,
         epochs: tuple,
@@ -1221,24 +1154,17 @@ class ShardedCorpus:
                         elapsed_ms=(time.perf_counter() - started) * 1000.0,
                     )
                     return gather.entry_index, report, per_mapping
-            # The rewrite plan is derived once per session from the shared
-            # compiled artifact (it depends only on the mapping set, never on
-            # a document); each shard just filters it against its own view.
-            usable: list[_Rewrite] = []
-            pruned = deferred = 0
-            for rewrite in plan:
-                if rewrite.spine_rooted:
-                    deferred += 1
-                elif rewrite.elements <= shard.document.present_elements:
-                    usable.append(rewrite)
-                else:
-                    pruned += 1
-            per_mapping, matches = _evaluate_rewrites(
-                shard.document, gather.prepared.query.root, usable
+            # Rewrites touching an element absent from the shard are pruned.
+            present = shard.document.present_elements
+            usable = [rewrite for rewrite in plan if present.issuperset(rewrite[1])]
+            pruned = len(plan) - len(usable)
+            per_mapping, by_signature = match_rewrites(
+                shard.document, gather.prepared.query, usable
             )
+            matches = _matches_found(usable, by_signature)
             if cache is not None and key is not None:
                 stored = cache.put(
-                    key, (per_mapping, len(usable), pruned, deferred, matches)
+                    key, (per_mapping, len(usable), pruned, num_deferred, matches)
                 )
                 per_mapping = stored[0]
             report = ShardReport(
@@ -1249,7 +1175,7 @@ class ShardedCorpus:
                 num_subtrees=shard.document.num_subtrees,
                 groups=len(usable),
                 pruned=pruned,
-                deferred=deferred,
+                deferred=num_deferred,
                 matches=matches,
                 elapsed_ms=(time.perf_counter() - started) * 1000.0,
             )
@@ -1260,7 +1186,7 @@ class ShardedCorpus:
     def _spine_task(
         self,
         gather: _Gather,
-        spine_plan: list[_Rewrite],
+        spine_plan: list[Rewrite],
         k: Optional[int],
         base_signature: tuple,
         epochs: tuple,
@@ -1273,6 +1199,12 @@ class ShardedCorpus:
             else None
         )
         document = gather.state.snapshot.document
+
+        def evaluate() -> tuple[dict, int]:
+            per_mapping, by_signature = match_rewrites(
+                document, gather.prepared.query, spine_plan
+            )
+            return per_mapping, _matches_found(spine_plan, by_signature)
 
         def run() -> tuple[int, ShardReport, dict]:
             started = time.perf_counter()
@@ -1290,17 +1222,11 @@ class ShardedCorpus:
                     )
                     if cached is not None:
                         status = "retained"
-                if cached is not None:
-                    per_mapping, matches = cached
-                else:
-                    per_mapping, matches = _evaluate_rewrites(
-                        document, gather.prepared.query.root, spine_plan
-                    )
-                    per_mapping, matches = cache.put(key, (per_mapping, matches))
+                if cached is None:
+                    cached = cache.put(key, evaluate())
+                per_mapping, matches = cached
             else:
-                per_mapping, matches = _evaluate_rewrites(
-                    document, gather.prepared.query.root, spine_plan
-                )
+                per_mapping, matches = evaluate()
             report = ShardReport(
                 shard_id=-1,
                 dataset=gather.state.session.name,

@@ -40,9 +40,7 @@ from repro.engine.planner import (
     QueryPlanner,
     StatisticsCollector,
     canonical_text,
-    default_service_workers,
     normalize_query_text,
-    recommend_scatter_workers,
 )
 from repro.engine.plans import (
     BasicPlan,
@@ -103,6 +101,4 @@ __all__ = [
     "StatisticsCollector",
     "canonical_text",
     "normalize_query_text",
-    "recommend_scatter_workers",
-    "default_service_workers",
 ]

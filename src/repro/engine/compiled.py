@@ -58,6 +58,7 @@ from repro.mapping.mapping_set import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapping.mapping import Mapping
     from repro.matching.correspondence import CorrespondenceKey
+    from repro.query.ptq import Rewrite
     from repro.query.resolve import Embedding
 
 __all__ = ["CompiledMappingSet", "compile_mapping_set"]
@@ -357,36 +358,26 @@ class CompiledMappingSet:
             "bitset_bytes": num_masks * mask_bytes,
         }
 
-    def rewrite_stats(
-        self, embeddings: Iterable["Embedding"], mappings: Iterable["Mapping"]
-    ) -> dict:
-        """Sharing statistics for one query: how many rewrites are distinct.
+    def rewrite_stats(self, rewrites: list["Rewrite"], mask: int) -> dict:
+        """Sharing statistics for one query's rewrites (from ``derive_rewrites``).
 
-        ``num_rewrite_groups`` counts the per-embedding groups the compiled
-        plan would evaluate; ``num_distinct_rewrites`` deduplicates identical
-        target→source assignments across embeddings; ``evaluations_saved`` is
-        the number of per-mapping evaluations Algorithm 3 would have run that
-        the compiled plan shares away.
+        ``rewrites`` is :func:`repro.query.ptq.derive_rewrites` output for the
+        selected mappings ``mask``.  ``num_rewrite_groups`` counts its groups;
+        ``num_distinct_rewrites`` its distinct source signatures — the number
+        of twig matches the compiled plan runs; ``evaluations_saved`` is the
+        number of per-mapping evaluations Algorithm 3 would have run that the
+        compiled plan shares away.
         """
-        mask = self.mask_for(mappings)
-        signatures: set[tuple[tuple[int, int], ...]] = set()
-        num_groups = 0
-        per_mapping_evaluations = 0
-        for embedding in embeddings:
-            for group_mask, assignment in self.rewrite_groups(
-                set(embedding.values()), mask
-            ):
-                num_groups += 1
-                per_mapping_evaluations += group_mask.bit_count()
-                signatures.add(tuple(sorted(assignment.items())))
         stats = self.stats()
         stats.update(
             {
                 "num_selected": mask.bit_count(),
                 "selected_probability_mass": self.probability_of_mask(mask),
-                "num_rewrite_groups": num_groups,
-                "num_distinct_rewrites": len(signatures),
-                "evaluations_saved": per_mapping_evaluations - num_groups,
+                "num_rewrite_groups": len(rewrites),
+                "num_distinct_rewrites": len({signature for _, signature in rewrites}),
+                "evaluations_saved": sum(
+                    group_mask.bit_count() for group_mask, _ in rewrites
+                ) - len(rewrites),
             }
         )
         return stats

@@ -272,11 +272,8 @@ class Dataspace:
         self._persist_failures = 0
         self._persist_failure_warned = False
         # The cost-based planner: per-query statistics, the cost model and
-        # its bounded decision cache.  Scatter corpora the planner routes
-        # through are memoized per shard count (they hold thread pools).
+        # its bounded decision cache.
         self._planner = QueryPlanner()
-        self._scatter_lock = threading.Lock()
-        self._scatter_corpora: dict[int, object] = {}
         # Standing queries: registered once, notified incrementally from the
         # dirty masks of every committed delta batch (see engine.streaming).
         self._subscriptions = SubscriptionRegistry(self)
@@ -1542,11 +1539,8 @@ class Dataspace:
             timings_ms.extend(results[id(item)][1] for item in prepared)
         return [results[id(item)][0] for item in prepared]
 
-    def _default_plan(self) -> Tuple[QueryPlan, str]:
-        return plan_for("compiled"), "compiled bitset core (session default)"
-
     def select_plan(self, plan: PlanSpec = None) -> Tuple[QueryPlan, str]:
-        """Pick the evaluation plan: ``(plan, reason)``.
+        """Pick the evaluation plan without a query: ``(plan, reason)``.
 
         A caller-supplied ``plan`` (name or instance) is honoured verbatim;
         otherwise the session runs the ``compiled`` plan — it shares work
@@ -1555,41 +1549,11 @@ class Dataspace:
         block tree at all, so automatic selection never triggers a tree
         build.  All plans return identical answers, so the choice is purely
         a performance strategy.  Query-aware selection (measured statistics
-        through the cost model) goes through :meth:`select_plan_for` with a
-        prepared query.
+        through the cost model) is :meth:`plan_decision`.
         """
         if plan is not None:
             return plan_for(plan), "forced by caller"
-        return self._default_plan()
-
-    def select_plan_for(
-        self,
-        plan: PlanSpec,
-        snapshot: EngineSnapshot,
-        *,
-        prepared: Optional[PreparedQuery] = None,
-        k: Optional[int] = None,
-    ) -> Tuple[QueryPlan, str]:
-        """Like :meth:`select_plan`, but cost-based when a prepared query is given.
-
-        With ``prepared``, the session consults the planner's accumulated
-        statistics for that query and lets the cost model pick among the
-        in-process plans (the scatter route is decided earlier, in
-        :meth:`PreparedQuery.execute <repro.engine.prepared.PreparedQuery.execute>`).
-        Without statistics the decision degrades to the fixed default, so a
-        cold session behaves exactly as before the planner existed.
-        """
-        if plan is not None:
-            return plan_for(plan), "forced by caller"
-        if prepared is not None:
-            decision = self._planner.decide(
-                prepared.cache_key,
-                state=(snapshot.generation, snapshot.delta_epoch),
-                k=k,
-                allow_scatter=False,
-            )
-            return plan_for(decision.plan_name), decision.reason
-        return self._default_plan()
+        return plan_for("compiled"), "compiled bitset core (session default)"
 
     # ------------------------------------------------------------------ #
     # Cost-based planning
@@ -1604,17 +1568,17 @@ class Dataspace:
         prepared: PreparedQuery,
         *,
         k: Optional[int] = None,
-        allow_scatter: bool = False,
         state: Optional[tuple[int, int]] = None,
         collect_statistics: bool = True,
     ) -> PlanDecision:
         """The cost model's full decision for ``prepared`` at the current state.
 
-        ``state`` lets a caller that already holds a snapshot pass its
-        ``(generation, delta_epoch)`` instead of paying a second read-lock
-        acquisition on the hot execute path; that path also passes
-        ``collect_statistics=False`` to skip the serialized statistics
-        snapshot only ``explain()`` output reads.
+        The one decision entry: both ``execute()`` and ``explain()`` of an
+        un-forced query take their plan from here.  ``state`` lets a caller
+        that already holds a snapshot pass its ``(generation, delta_epoch)``
+        instead of paying a second read-lock acquisition; the execute path
+        also passes ``collect_statistics=False`` to skip the serialized
+        statistics snapshot only ``explain()`` output reads.
         """
         if state is None:
             with self._lock.read_locked():
@@ -1623,37 +1587,8 @@ class Dataspace:
             prepared.cache_key,
             state=state,
             k=k,
-            allow_scatter=allow_scatter,
             collect_statistics=collect_statistics,
         )
-
-    def _scatter_corpus(self, num_shards: int):
-        """The memoized scatter-gather corpus the planner routes through."""
-        with self._scatter_lock:
-            corpus = self._scatter_corpora.get(num_shards)
-        if corpus is None:
-            corpus = self.shard(num_shards)
-            with self._scatter_lock:
-                existing = self._scatter_corpora.setdefault(num_shards, corpus)
-                corpus = existing
-        return corpus
-
-    def _scatter_execute(
-        self,
-        prepared: PreparedQuery,
-        decision: PlanDecision,
-        *,
-        k: Optional[int],
-        use_cache: bool,
-    ) -> PTQResult:
-        """Run ``prepared`` through the scatter-gather executor (byte-identical).
-
-        The corpus is addressed by the prepared query's canonical text —
-        idempotent under normalization, so the corpus resolves it back to
-        the *same* prepared query and its statistics.
-        """
-        corpus = self._scatter_corpus(decision.num_shards)
-        return corpus.execute(prepared.cache_key, k=k, use_cache=use_cache)
 
     def calibrate(
         self,
@@ -1661,16 +1596,14 @@ class Dataspace:
         *,
         k: Optional[int] = None,
         plans: Optional[Iterable[Union[str, QueryPlan]]] = None,
-        shard_counts: Iterable[int] = (),
     ) -> dict:
-        """Measure every candidate strategy once to warm the cost model.
+        """Measure every candidate plan once to warm the cost model.
 
-        Runs ``query`` uncached under each in-process plan (default: all
-        registered plans) and, optionally, through scatter-gather at each of
-        ``shard_counts`` — feeding the planner real latencies so subsequent
-        un-forced executions pick the measured-fastest strategy.  Returns
-        ``{strategy: latency_ms}``.  All strategies are byte-identical by
-        contract, so calibration never changes any answer, only timings.
+        Runs ``query`` uncached under each plan (default: all registered
+        plans), feeding the planner real latencies so subsequent un-forced
+        executions pick the measured-fastest plan.  Returns
+        ``{plan: latency_ms}``.  All plans are byte-identical by contract,
+        so calibration never changes any answer, only timings.
         """
         prepared = self.prepare(query)
         plan_names = [
@@ -1682,18 +1615,6 @@ class Dataspace:
             started = time.perf_counter()
             prepared.execute(k=k, plan=name, use_cache=False)
             report[name] = (time.perf_counter() - started) * 1000.0
-        # Text-prepared queries scatter by canonical text (the corpus resolves
-        # it back to the same prepared query); hand-built twig objects carry
-        # an identity token instead of parseable text, so they go through the
-        # corpus by object — it resolves through this session's own prepare().
-        scatter_query: Union[str, TwigQuery] = (
-            prepared.cache_key if prepared._scatter_eligible() else prepared.query
-        )
-        for num_shards in shard_counts:
-            corpus = self._scatter_corpus(num_shards)
-            started = time.perf_counter()
-            corpus.execute(scatter_query, k=k, use_cache=False)
-            report[f"scatter:{num_shards}"] = (time.perf_counter() - started) * 1000.0
         return report
 
     # ------------------------------------------------------------------ #

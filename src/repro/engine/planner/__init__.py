@@ -10,7 +10,7 @@ spellings share one prepared plan and one statistics record.
 
 :class:`QueryPlanner` is the facade a :class:`~repro.engine.dataspace.Dataspace`
 owns: one statistics collector, one cost model, and a bounded decision cache
-keyed by ``(query, collector version, session state, k, scatter allowed)`` —
+keyed by ``(query, collector version, session state, k)`` —
 steady-state decisions are dictionary lookups, and any structural statistics
 change retires them wholesale by bumping the collector version.
 """
@@ -26,15 +26,12 @@ from repro.engine.planner.cost import (
     CostModel,
     PlanDecision,
     PlanEstimate,
-    default_service_workers,
-    recommend_scatter_workers,
 )
 from repro.engine.planner.normalize import canonical_text, normalize_query_text
 from repro.engine.planner.statistics import (
     PlanLatency,
     QueryStatistics,
     StatisticsCollector,
-    scatter_plan_key,
 )
 
 __all__ = [
@@ -47,10 +44,7 @@ __all__ = [
     "QueryStatistics",
     "StatisticsCollector",
     "canonical_text",
-    "default_service_workers",
     "normalize_query_text",
-    "recommend_scatter_workers",
-    "scatter_plan_key",
 ]
 
 #: Bound on cached plan decisions (mirrors the statistics record bound).
@@ -75,7 +69,6 @@ class QueryPlanner:
         *,
         state: Optional[tuple[int, int]] = None,
         k: Optional[int] = None,
-        allow_scatter: bool = False,
         collect_statistics: bool = False,
     ) -> PlanDecision:
         """The cost model's strategy for ``key`` at ``state`` (cached).
@@ -90,7 +83,7 @@ class QueryPlanner:
         the ``explain()`` path — upgrades the cached entry in place.
         """
         version = self.collector.version
-        cache_key = (key, version, state, k, allow_scatter)
+        cache_key = (key, version, state, k)
         with self._lock:
             entry = self._decisions.get(cache_key)
             if entry is not None and not (
@@ -103,7 +96,6 @@ class QueryPlanner:
         decision = self.model.decide(
             self.collector.get(key),
             k=k,
-            allow_scatter=allow_scatter,
             collect_statistics=collect_statistics,
         )
         with self._lock:
@@ -124,9 +116,6 @@ class QueryPlanner:
 
     def observe_rewrites(self, key: str, distinct_rewrites: int) -> None:
         self.collector.observe_rewrites(key, distinct_rewrites)
-
-    def observe_scatter(self, key: str, num_shards: int, latency_ms: float, **kw) -> None:
-        self.collector.observe_scatter(key, num_shards, latency_ms, **kw)
 
     def record_topk_threshold(
         self, key: str, k: int, state_token: str, probability: float

@@ -1,10 +1,10 @@
-"""The cost model: measured statistics → plan, fan-out and worker choices.
+"""The cost model: measured statistics → plan choice.
 
 The engine's three in-process plans (``basic``, ``blocktree``, ``compiled``)
-and the scatter-gather executor all return byte-identical answers — the plan
-choice is purely a performance strategy, which is exactly what makes it safe
-to hand to a cost model: a wrong estimate can only cost time, never change a
-result (the differential suite pins this).
+all return byte-identical answers — the plan choice is purely a performance
+strategy, which is exactly what makes it safe to hand to a cost model: a
+wrong estimate can only cost time, never change a result (the differential
+suite pins this).
 
 The model is deliberately conservative.  It deviates from the session default
 (``compiled``) only when there is measured evidence on *both* sides: the
@@ -15,10 +15,6 @@ what keeps the golden suites byte-stable and the "never slower than the fixed
 heuristic" benchmark gate honest.  Statistics arrive passively from serving
 traffic (every cache-missing execution is measured) or actively through
 :meth:`repro.engine.dataspace.Dataspace.calibrate`.
-
-Worker sizing lives here too: :func:`recommend_scatter_workers` and
-:func:`default_service_workers` size the executors' thread pools.  The
-bitset loops hold the GIL, so both keep a small fixed sizing.
 """
 
 from __future__ import annotations
@@ -26,16 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.engine.planner.statistics import QueryStatistics, scatter_plan_key
+from repro.engine.planner.statistics import QueryStatistics
 
-__all__ = [
-    "COST_MARGIN",
-    "CostModel",
-    "PlanDecision",
-    "PlanEstimate",
-    "default_service_workers",
-    "recommend_scatter_workers",
-]
+__all__ = ["COST_MARGIN", "CostModel", "PlanDecision", "PlanEstimate"]
 
 #: A challenger plan must beat the measured default by this factor before the
 #: model deviates from it — measurement noise must not flip plans.
@@ -71,18 +60,15 @@ class PlanEstimate:
 class PlanDecision:
     """The cost model's answer for one (query, state, k) question.
 
-    ``executor`` is ``"inline"`` for the engine's in-process plans (then
-    ``plan_name`` names a registered :class:`~repro.engine.plans.QueryPlan`)
-    or ``"scatter"`` for the corpus scatter-gather route (then ``num_shards``
-    carries the chosen fan-out).  ``candidates`` records every estimate the
-    model compared and ``statistics`` the statistics snapshot it used — both
-    surface through ``explain()`` so a plan choice is always explainable.
+    ``plan_name`` names a registered in-process
+    :class:`~repro.engine.plans.QueryPlan`.  ``candidates`` records every
+    estimate the model compared and ``statistics`` the statistics snapshot it
+    used — both surface through ``explain()`` so a plan choice is always
+    explainable.
     """
 
     plan_name: str
     reason: str
-    executor: str = "inline"
-    num_shards: Optional[int] = None
     candidates: tuple[PlanEstimate, ...] = ()
     statistics: Optional[dict] = None
     cached: bool = False
@@ -90,20 +76,6 @@ class PlanDecision:
     def as_cached(self) -> "PlanDecision":
         """This decision, marked as served from the decision cache."""
         return replace(self, cached=True)
-
-
-def recommend_scatter_workers(num_shards: int) -> int:
-    """Thread-pool size for a scatter over ``num_shards`` shard tasks.
-
-    The bitset loops hold the GIL, so extra threads beyond the task count
-    would only add contention: the pool stays between 2 and 8 workers.
-    """
-    return min(8, max(2, num_shards))
-
-
-def default_service_workers() -> int:
-    """Default :class:`~repro.service.QueryService` pool size (a fixed 8)."""
-    return 8
 
 
 class CostModel:
@@ -128,15 +100,12 @@ class CostModel:
         stats: Optional[QueryStatistics],
         *,
         k: Optional[int] = None,
-        allow_scatter: bool = False,
         collect_statistics: bool = True,
     ) -> PlanDecision:
-        """Pick a strategy for one query given its accumulated statistics.
+        """Pick a plan for one query given its accumulated statistics.
 
-        ``allow_scatter`` admits the corpus scatter-gather route as a
-        candidate (callers only set it when the execution context can route
-        through a corpus); ``k`` is currently informational — latencies are
-        aggregated across top-k settings.  ``collect_statistics=False`` skips
+        ``k`` is currently informational — latencies are aggregated across
+        top-k settings.  ``collect_statistics=False`` skips
         attaching the serialized statistics snapshot — the execute hot path
         asks for that, since the snapshot only serves ``explain()`` output
         and building it costs more than the decision itself.
@@ -156,17 +125,6 @@ class CostModel:
                         observations=latency.count,
                     )
                 )
-        if allow_scatter:
-            for num_shards in sorted(stats.scatter):
-                latency = stats.plans.get(scatter_plan_key(num_shards))
-                if latency is not None and latency.count > 0:
-                    candidates.append(
-                        PlanEstimate(
-                            plan=scatter_plan_key(num_shards),
-                            cost_ms=latency.ewma_ms,
-                            observations=latency.count,
-                        )
-                    )
         ranked = tuple(
             sorted(candidates, key=lambda est: (est.cost_ms, est.plan != _DEFAULT_PLAN, est.plan))
         )
@@ -192,24 +150,14 @@ class CostModel:
                 ranked,
                 snapshot,
             )
-        reason = (
-            f"cost model: {winner.plan} measured {winner.cost_ms:.2f} ms vs "
-            f"compiled {baseline.ewma_ms:.2f} ms "
-            f"({baseline.ewma_ms / max(winner.cost_ms, 1e-9):.1f}x, "
-            f"{winner.observations} runs)"
-        )
-        if winner.plan.startswith("scatter:"):
-            return PlanDecision(
-                plan_name=winner.plan,
-                reason=reason,
-                executor="scatter",
-                num_shards=int(winner.plan.split(":", 1)[1]),
-                candidates=ranked,
-                statistics=snapshot,
-            )
         return PlanDecision(
             plan_name=winner.plan,
-            reason=reason,
+            reason=(
+                f"cost model: {winner.plan} measured {winner.cost_ms:.2f} ms vs "
+                f"compiled {baseline.ewma_ms:.2f} ms "
+                f"({baseline.ewma_ms / max(winner.cost_ms, 1e-9):.1f}x, "
+                f"{winner.observations} runs)"
+            ),
             candidates=ranked,
             statistics=snapshot,
         )

@@ -8,9 +8,8 @@ observations per prepared-query cache key (the *canonical* query text, so
 equivalent query spellings feed one statistics record), and the cost model
 (:mod:`repro.engine.planner.cost`) turns them into plan decisions.
 
-Latencies are tracked per execution strategy under plan keys: the engine
-plans by name (``"basic"``/``"blocktree"``/``"compiled"``) and scatter-gather
-executions as ``"scatter:<num_shards>"``.  Each record keeps a count, best,
+Latencies are tracked per plan name (``"basic"``/``"blocktree"``/
+``"compiled"``).  Each record keeps a count, best,
 last and an exponentially weighted moving average — the EWMA is what the cost
 model compares, so one outlier measurement cannot flip a plan choice.
 
@@ -31,7 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["PlanLatency", "QueryStatistics", "StatisticsCollector", "scatter_plan_key"]
+__all__ = ["PlanLatency", "QueryStatistics", "StatisticsCollector"]
 
 #: Payload format version (bumped on incompatible layout changes).
 STATS_FORMAT = 1
@@ -51,11 +50,6 @@ _EWMA_ALPHA = 0.3
 #: Relative EWMA change that counts as a *structural* update (bumps the
 #: collector version, retiring cached plan decisions for the query).
 _STRUCTURAL_DELTA = 0.25
-
-
-def scatter_plan_key(num_shards: int) -> str:
-    """The latency-record key of a scatter-gather execution over ``num_shards``."""
-    return f"scatter:{num_shards}"
 
 
 @dataclass
@@ -114,8 +108,8 @@ class QueryStatistics:
     ``num_relevant`` / ``num_embeddings`` / ``distinct_rewrites`` hold the
     latest observed cardinalities together with the ``state``
     (generation, delta epoch) they were observed at — a delta can change
-    which mappings are relevant, so estimates are state-tagged.  ``scatter``
-    keeps per-fan-out skip/prune counters, and ``topk_thresholds`` remembers
+    which mappings are relevant, so estimates are state-tagged.
+    ``topk_thresholds`` remembers
     the *exact* k-th best probability of finished top-k selections per
     session state (see :meth:`record_topk_threshold`).
     """
@@ -129,7 +123,6 @@ class QueryStatistics:
     distinct_rewrites: Optional[int] = None
     state: Optional[tuple[int, int]] = None
     plans: dict[str, PlanLatency] = field(default_factory=dict)
-    scatter: dict[int, dict] = field(default_factory=dict)
     topk_thresholds: "OrderedDict[str, float]" = field(default_factory=OrderedDict)
 
     def cache_hit_rate(self) -> Optional[float]:
@@ -153,10 +146,6 @@ class QueryStatistics:
             "plans": {
                 name: record.to_payload() for name, record in sorted(self.plans.items())
             },
-            "scatter": {
-                str(num_shards): dict(counters)
-                for num_shards, counters in sorted(self.scatter.items())
-            },
             "topk_thresholds": dict(self.topk_thresholds),
         }
 
@@ -176,10 +165,6 @@ class QueryStatistics:
         )
         for name, latency in payload.get("plans", {}).items():
             record.plans[str(name)] = PlanLatency.from_payload(latency)
-        for num_shards, counters in payload.get("scatter", {}).items():
-            record.scatter[int(num_shards)] = {
-                str(key): int(value) for key, value in counters.items()
-            }
         for token, probability in payload.get("topk_thresholds", {}).items():
             record.topk_thresholds[str(token)] = float(probability)
         return record
@@ -266,35 +251,6 @@ class StatisticsCollector:
         with self._lock:
             record = self._record(key)
             record.distinct_rewrites = distinct_rewrites
-
-    def observe_scatter(
-        self,
-        key: str,
-        num_shards: int,
-        latency_ms: float,
-        *,
-        state: Optional[tuple[int, int]] = None,
-        fan_out: int = 0,
-        skipped: int = 0,
-    ) -> None:
-        """Record one evaluated scatter-gather execution of ``key``."""
-        with self._lock:
-            record = self._record(key)
-            record.executions += 1
-            if state is not None:
-                record.state = state
-            counters = record.scatter.setdefault(
-                num_shards, {"executions": 0, "fan_out": 0, "skipped": 0}
-            )
-            counters["executions"] += 1
-            counters["fan_out"] += int(fan_out)
-            counters["skipped"] += int(skipped)
-            plan_key = scatter_plan_key(num_shards)
-            latency = record.plans.get(plan_key)
-            if latency is None:
-                latency = record.plans.setdefault(plan_key, PlanLatency())
-            if latency.observe(latency_ms):
-                self._version += 1
 
     def record_topk_threshold(
         self, key: str, k: int, state_token: str, probability: float

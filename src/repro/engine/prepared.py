@@ -41,12 +41,14 @@ from repro.engine.plans import (
     select_top_k,
 )
 from repro.mapping.mapping_set import MappingSubset
+from repro.query.ptq import derive_rewrites
 from repro.query.resolve import Embedding, resolve_query
 from repro.query.results import PTQResult
 from repro.query.twig import TwigQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.dataspace import Dataspace, EngineSnapshot
+    from repro.engine.planner import PlanDecision
 
 __all__ = ["PreparedQuery", "QueryBuilder"]
 
@@ -190,24 +192,50 @@ class PreparedQuery:
             delta_epoch=snapshot.delta_epoch,
         )
 
-    def _snapshot_for(
-        self, plan: PlanSpec, snapshot: Optional["EngineSnapshot"]
-    ) -> "EngineSnapshot":
-        if snapshot is not None:
-            return snapshot
-        # Only an explicit block-tree plan needs the tree; the default
-        # (compiled) plan runs entirely on the compiled mapping set.
-        need_tree = plan is not None and plan_for(plan).uses_block_tree
-        return self._dataspace.snapshot(need_tree=need_tree)
+    def _plan_and_snapshot(
+        self,
+        plan: PlanSpec,
+        snapshot: Optional["EngineSnapshot"],
+        k: Optional[int],
+        collect_statistics: bool,
+    ) -> tuple[QueryPlan, Optional["PlanDecision"], "EngineSnapshot"]:
+        """The plan to run, the cost model's decision (``None`` when forced), a snapshot.
 
-    def _scatter_eligible(self) -> bool:
-        """Whether the cost model may route this query through scatter-gather.
-
-        Identity-keyed twigs (``<twig:N>``) are excluded: the scatter route
-        re-resolves the query from its canonical text, which an identity key
-        is not.
+        A forced ``plan`` goes through :func:`plan_for`; otherwise the
+        decision comes from :meth:`Dataspace.plan_decision
+        <repro.engine.dataspace.Dataspace.plan_decision>`, keyed by the
+        snapshot's ``(generation, delta_epoch)`` — so ``execute()`` and
+        ``explain()`` always agree on the winner.
         """
-        return not self._cache_key.startswith("<twig:")
+        ds = self._dataspace
+        decision = None
+        if plan is not None:
+            chosen = plan_for(plan)
+            snap = (
+                snapshot
+                if snapshot is not None
+                else ds.snapshot(need_tree=chosen.uses_block_tree)
+            )
+        else:
+            # One snapshot up front: its state keys the decision, and the
+            # common (non-tree) choices evaluate straight against it — only
+            # a tree-plan choice pays a second snapshot.
+            snap = snapshot if snapshot is not None else ds.snapshot(need_tree=False)
+            decision = ds.plan_decision(
+                self,
+                k=k,
+                state=(snap.generation, snap.delta_epoch),
+                collect_statistics=collect_statistics,
+            )
+            chosen = plan_for(decision.plan_name)
+        if chosen.uses_block_tree and snap.block_tree is None:
+            if snapshot is None:
+                snap = ds.snapshot(need_tree=True)
+            else:
+                # A shared batch snapshot taken without the tree cannot run
+                # the tree plan; the default needs no tree.
+                chosen = plan_for("compiled")
+        return chosen, decision, snap
 
     def execute(
         self,
@@ -225,10 +253,10 @@ class PreparedQuery:
             Optional top-k restriction (Definition 5).
         plan:
             Optional plan override (name or :class:`QueryPlan`); when
-            omitted the cost model selects a strategy from the query's
-            measured statistics (possibly the scatter-gather executor),
-            degrading to the fixed ``compiled`` default when cold.  All
-            strategies are byte-identical, so the choice only affects time.
+            omitted the cost model selects a plan from the query's measured
+            statistics, degrading to the fixed ``compiled`` default when
+            cold.  All plans are byte-identical, so the choice only affects
+            time.
         snapshot:
             Evaluate against this pre-captured snapshot instead of taking a
             fresh one (batch executors pass the batch's shared snapshot).
@@ -237,34 +265,7 @@ class PreparedQuery:
             Cached results are shared objects — treat them as read-only.
         """
         ds = self._dataspace
-        decision = None
-        if plan is None and snapshot is None:
-            # One snapshot up front: its (generation, delta_epoch) keys the
-            # decision, and the common (non-tree) choices evaluate straight
-            # against it — only a tree-plan choice pays a second snapshot.
-            snap = ds.snapshot(need_tree=False)
-            decision = ds.plan_decision(
-                self,
-                k=k,
-                allow_scatter=self._scatter_eligible(),
-                state=(snap.generation, snap.delta_epoch),
-                collect_statistics=False,
-            )
-            if decision.executor == "scatter" and decision.num_shards:
-                return ds._scatter_execute(self, decision, k=k, use_cache=use_cache)
-        if decision is not None:
-            chosen = plan_for(decision.plan_name)
-            if chosen.uses_block_tree and snap.block_tree is None:
-                snap = ds.snapshot(need_tree=True)
-        else:
-            snap = self._snapshot_for(plan, snapshot)
-            chosen, _ = ds.select_plan_for(
-                plan, snap, prepared=self if plan is None else None, k=k
-            )
-            if chosen.uses_block_tree and snap.block_tree is None:
-                # A shared batch snapshot taken without the tree cannot run
-                # the tree plan; the default needs no tree.
-                chosen = plan_for("compiled")
+        chosen, _, snap = self._plan_and_snapshot(plan, snapshot, k, False)
         cache = ds.result_cache if use_cache else None
         key: Optional[CacheKey] = None
         relevant = self.relevant_mappings(snap)
@@ -324,25 +325,14 @@ class PreparedQuery:
         measured actuals of this very execution (``EXPLAIN ANALYZE``).
         """
         ds = self._dataspace
-        decision = None
-        if plan is None:
-            decision = ds.plan_decision(self, k=k, allow_scatter=False)
+        chosen, decision, snap = self._plan_and_snapshot(plan, snapshot, k, True)
+        reason = decision.reason if decision is not None else "forced by caller"
         # The estimates are whatever the planner knew *before* this run.
         pre_stats = (
             decision.statistics
             if decision is not None
             else ds.planner.snapshot(self._cache_key)
         )
-        if decision is not None:
-            chosen, reason = plan_for(decision.plan_name), decision.reason
-            snap = (
-                snapshot
-                if snapshot is not None
-                else ds.snapshot(need_tree=chosen.uses_block_tree)
-            )
-        else:
-            snap = self._snapshot_for(plan, snapshot)
-            chosen, reason = ds.select_plan_for(plan, snap)
         timings: dict[str, float] = {}
 
         started = time.perf_counter()
@@ -407,17 +397,19 @@ class PreparedQuery:
         compiled_stats = None
         if chosen.uses_compiled:
             selected = relevant if k is None else select_top_k(relevant, k)
-            compiled_stats = snap.mapping_set.compile().rewrite_stats(
-                embeddings, selected
+            compiled = mapping_set.compile()
+            selected_mask = compiled.mask_for(selected)
+            compiled_stats = compiled.rewrite_stats(
+                derive_rewrites(self._query, compiled, embeddings, selected_mask),
+                selected_mask,
             )
-            distinct = compiled_stats.get("num_distinct_rewrites")
-            if distinct is not None:
-                ds.planner.observe_rewrites(self._cache_key, int(distinct))
+            ds.planner.observe_rewrites(
+                self._cache_key, compiled_stats["num_distinct_rewrites"]
+            )
         planner_info = None
         if decision is not None:
             planner_info = {
                 "winner": decision.plan_name,
-                "executor": decision.executor,
                 "reason": decision.reason,
                 "cached_decision": decision.cached,
                 "candidates": [estimate.to_dict() for estimate in decision.candidates],

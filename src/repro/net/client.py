@@ -273,15 +273,13 @@ class ReproClient:
         *,
         k: Optional[int] = None,
         plans: Optional["list[str] | tuple[str, ...]"] = None,
-        shard_counts: "list[int] | tuple[int, ...]" = (),
     ) -> dict:
-        """Warm the server's cost model; returns ``{strategy: latency_ms}``."""
+        """Warm the server's cost model; returns ``{plan: latency_ms}``."""
         response = self._round_trip(
             CalibrateRequest(
                 query=query,
                 k=k,
                 plans=tuple(plans) if plans is not None else None,
-                shard_counts=tuple(shard_counts),
             )
         )
         return dict(response.timings)

@@ -26,7 +26,7 @@ contents.
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.core.blocktree import BlockTree
 from repro.document.document import XMLDocument
@@ -42,6 +42,9 @@ from repro.query.resolve import Embedding, resolve_query
 from repro.query.results import CanonicalMatch, PTQAnswer, PTQResult
 from repro.query.twig import TwigNode, TwigQuery
 from repro.query.twigmatch import Match, match_twig, stack_join
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.compiled import CompiledMappingSet
 
 __all__ = [
     "filter_mappings",
@@ -458,6 +461,79 @@ def evaluate_ptq_blocktree(
 # --------------------------------------------------------------------------- #
 # Compiled core: evaluate each distinct rewrite exactly once
 # --------------------------------------------------------------------------- #
+#: One rewrite of a query: the bitmask of the mappings that share it, and the
+#: source element each query node is rewritten to, in query-node-id order.
+Rewrite = tuple[int, tuple[int, ...]]
+
+
+def derive_rewrites(
+    query: TwigQuery,
+    compiled: "CompiledMappingSet",
+    embeddings: list[Embedding],
+    selected_mask: int,
+) -> list[Rewrite]:
+    """Group the selected mappings by their full rewrite of ``query``.
+
+    For every embedding, the mappings in ``selected_mask`` are partitioned
+    into groups that rewrite *every* query node to the same source element
+    (:meth:`~repro.engine.compiled.CompiledMappingSet.rewrite_groups`).  The
+    groups of one embedding are disjoint; two embeddings can induce the same
+    source signature, which :func:`match_rewrites` then matches once.  This is
+    the only place rewrites are derived: the compiled plan, the sharded
+    corpus and ``explain()``'s sharing statistics all consume its output.
+    """
+    node_ids = _node_ids(query)
+    rewrites: list[Rewrite] = []
+    for embedding in embeddings:
+        targets = [embedding[node_id] for node_id in node_ids]
+        for group_mask, assignment in compiled.rewrite_groups(
+            set(embedding.values()), selected_mask
+        ):
+            rewrites.append((group_mask, tuple([assignment[t] for t in targets])))
+    return rewrites
+
+
+def match_rewrites(
+    document: XMLDocument,
+    query: TwigQuery,
+    rewrites: Iterable[Rewrite],
+    *,
+    disjoint: bool = False,
+) -> tuple[dict[int, frozenset[CanonicalMatch]], dict[tuple[int, ...], frozenset[CanonicalMatch]]]:
+    """Match each distinct rewrite once; fan the canonical matches out by bitmask.
+
+    Returns ``(per_mapping, by_signature)``: every member mapping's canonical
+    match set (unioned when several rewrites reach one mapping) and the
+    match set of each distinct source signature.  ``disjoint`` declares that
+    no mapping is in two rewrites (the rewrites of a single embedding), so
+    members are assigned without the union.
+    """
+    node_ids = _node_ids(query)
+    root = query.root
+    per_mapping: dict[int, frozenset[CanonicalMatch]] = {}
+    by_signature: dict[tuple[int, ...], frozenset[CanonicalMatch]] = {}
+    for group_mask, signature in rewrites:
+        canonical = by_signature.get(signature)
+        if canonical is None:
+            element_map = dict(zip(node_ids, signature))
+            canonical = _canonicalize(match_twig(document, root, element_map))
+            by_signature[signature] = canonical
+        if disjoint:
+            per_mapping.update(dict.fromkeys(iter_mapping_ids(group_mask), canonical))
+            continue
+        for mapping_id in iter_mapping_ids(group_mask):
+            existing = per_mapping.get(mapping_id)
+            per_mapping[mapping_id] = (
+                canonical if existing is None else existing | canonical
+            )
+    return per_mapping, by_signature
+
+
+def _node_ids(query: TwigQuery) -> tuple[int, ...]:
+    """The query's node ids, ascending (pre-order, so the root comes first)."""
+    return tuple(sorted(node.node_id for node in query.root.iter_subtree()))
+
+
 def evaluate_resolved_compiled(
     query: TwigQuery,
     mapping_set: MappingSet,
@@ -468,49 +544,23 @@ def evaluate_resolved_compiled(
     """Compiled-core evaluation loop over pre-resolved embeddings.
 
     Runs on the mapping set's compiled bitset view
-    (:meth:`~repro.mapping.mapping_set.MappingSet.compile`): for every
-    embedding, the selected mappings are partitioned into groups that rewrite
-    *every* query node to the same source element
-    (:meth:`~repro.engine.compiled.CompiledMappingSet.rewrite_groups`), each
-    distinct rewrite is matched against the document exactly once, and the
-    canonical matches are fanned back out to the group's mappings by bitmask.
-    This generalises Algorithm 4's c-block sharing — it needs no anchored
-    blocks and never misses sharing due to construction budgets — and
-    produces results identical to :func:`evaluate_resolved_basic`.
+    (:meth:`~repro.mapping.mapping_set.MappingSet.compile`): the selected
+    mappings are grouped by rewrite (:func:`derive_rewrites`), each distinct
+    rewrite is matched against the document exactly once, and the canonical
+    matches are fanned back out to the group's mappings by bitmask
+    (:func:`match_rewrites`).  This generalises Algorithm 4's c-block
+    sharing — it needs no anchored blocks and never misses sharing due to
+    construction budgets — and produces results identical to
+    :func:`evaluate_resolved_basic`.
 
     The contract on ``embeddings`` and ``mappings`` matches
     :func:`evaluate_resolved_basic`.
     """
     compiled = mapping_set.compile()
-    selected_mask = compiled.mask_for(mappings)
-    node_ids = tuple(sorted(node.node_id for node in query.root.iter_subtree()))
-    per_mapping: dict[int, frozenset[CanonicalMatch]] = {}
-    # Groups of one embedding are disjoint, so their members are assigned
-    # directly; only a second embedding can reach a mapping again and needs
-    # the union.
-    disjoint = len(embeddings) == 1
-    # One match_twig + canonicalisation per distinct element map, shared
-    # across embeddings too (two embeddings can induce the same rewrite).  A
-    # rewrite is keyed by its source elements in query-node-id order.
-    rewrite_cache: dict[tuple[int, ...], frozenset[CanonicalMatch]] = {}
-    for embedding in embeddings:
-        for group_mask, assignment in compiled.rewrite_groups(
-            set(embedding.values()), selected_mask
-        ):
-            signature = tuple(assignment[embedding[node_id]] for node_id in node_ids)
-            canonical = rewrite_cache.get(signature)
-            if canonical is None:
-                element_map = dict(zip(node_ids, signature))
-                canonical = _canonicalize(match_twig(document, query.root, element_map))
-                rewrite_cache[signature] = canonical
-            if disjoint:
-                per_mapping.update(dict.fromkeys(iter_mapping_ids(group_mask), canonical))
-                continue
-            for mapping_id in iter_mapping_ids(group_mask):
-                existing = per_mapping.get(mapping_id)
-                per_mapping[mapping_id] = (
-                    canonical if existing is None else existing | canonical
-                )
+    rewrites = derive_rewrites(query, compiled, embeddings, compiled.mask_for(mappings))
+    per_mapping, _ = match_rewrites(
+        document, query, rewrites, disjoint=len(embeddings) == 1
+    )
     return _build_reusing_result(query, document, per_mapping, compiled.probabilities)
 
 

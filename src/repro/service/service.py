@@ -78,6 +78,14 @@ def percentile_summary(values: Sequence[float], ndigits: int = 3) -> dict[str, f
     }
 
 
+def default_service_workers() -> int:
+    """Default :class:`QueryService` pool size: a fixed 8.
+
+    The bitset loops hold the GIL, so the pool keeps a small fixed sizing.
+    """
+    return 8
+
+
 class QueryService:
     """A concurrent query front-end over one :class:`Dataspace` session.
 
@@ -93,7 +101,7 @@ class QueryService:
     max_workers:
         Size of the service's thread pool (used by :meth:`submit`,
         :meth:`submit_many` and :meth:`execute_many`).  ``None`` (default)
-        uses :func:`repro.engine.planner.default_service_workers`.
+        uses :func:`default_service_workers`.
     use_cache:
         Whether served queries consult the session's result cache
         (default ``True``).  Corpus-backed services cache under
@@ -116,7 +124,6 @@ class QueryService:
         if max_workers is not None and max_workers < 1:
             raise DataspaceError(f"max_workers must be at least 1, got {max_workers}")
         from repro.corpus import ShardedCorpus as _ShardedCorpus
-        from repro.engine.planner import default_service_workers
 
         self._corpus: Optional["ShardedCorpus"]
         if isinstance(dataspace, _ShardedCorpus):

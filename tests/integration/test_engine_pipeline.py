@@ -11,8 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Dataspace
+from repro.query import ptq
 from repro.query.ptq import evaluate_ptq_basic, evaluate_ptq_blocktree
 from repro.query.topk import evaluate_topk_ptq
+from repro.service import workload_queries
+from repro.workloads.datasets import DATASET_IDS
 from repro.workloads.queries import load_query
 
 
@@ -90,3 +93,32 @@ class TestEngineMatchesSeedPipeline:
         by_id = d7_session.query("Q2").execute()
         by_text = d7_session.query(QUERY_STRINGS["Q2"]).execute()
         assert answers_of(by_id) == answers_of(by_text)
+
+
+@pytest.mark.parametrize("dataset_id", DATASET_IDS)
+def test_explain_distinct_rewrites_count_twig_matches(dataset_id, monkeypatch):
+    """explain()'s distinct-rewrite count is the compiled plan's match count.
+
+    Both come from the one rewrite derivation, so the number explain reports
+    is exactly the number of ``match_twig`` calls an uncached compiled
+    evaluation makes.
+    """
+    session = Dataspace.from_dataset(dataset_id, h=25)
+    real_match_twig = ptq.match_twig
+    calls = []
+
+    def counting_match_twig(*args, **kwargs):
+        calls.append(args)
+        return real_match_twig(*args, **kwargs)
+
+    total = 0
+    for query in workload_queries(dataset_id):
+        report = session.explain(query, plan="compiled", use_cache=False)
+        distinct = report.compiled_stats["num_distinct_rewrites"]
+        calls.clear()
+        monkeypatch.setattr(ptq, "match_twig", counting_match_twig)
+        session.execute(query, plan="compiled", use_cache=False)
+        monkeypatch.undo()
+        assert len(calls) == distinct, query
+        total += distinct
+    assert total > 0

@@ -512,7 +512,6 @@ MISTYPED_BODIES = [
     pytest.param("batch", {"queries": "Q1"}, id="queries-string"),
     pytest.param("batch", {"queries": ["Q1", 2]}, id="queries-item-int"),
     pytest.param("apply-delta", {"delta": ["x"]}, id="delta-array"),
-    pytest.param("calibrate", {"query": "Q1", "shard_counts": [2, True]}, id="shards-bool"),
 ]
 
 
@@ -530,6 +529,23 @@ class TestHttp:
         )
         assert status == 400
         assert reply["body"]["error"]["code"] == "bad-request"
+
+    def test_calibrate_shard_counts_is_bad_request(self, harness, service):
+        # Calibration measures in-process plans only: a request still carrying
+        # the retired shard-count field gets a typed error, not a silent ignore.
+        body = {"query": "Q1", "shard_counts": [4]}
+        envelope = canonical_json({"v": PROTOCOL_VERSION, "op": "calibrate", "body": body})
+        with pytest.raises(BadRequestError, match="shard_counts"):
+            ApiHandler(service).handle(decode_request(envelope))
+        payload = canonical_json(body)
+        status, reply = http_exchange(
+            harness.port,
+            f"POST /v1/calibrate HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload,
+        )
+        assert status == 400
+        assert reply["body"]["error"]["code"] == "bad-request"
+        assert "shard_counts" in reply["body"]["error"]["message"]
 
     def test_health(self, harness):
         status, payload = http_exchange(

@@ -196,10 +196,10 @@ class TestCostBasedPlannerEquivalence:
     """The adaptive planner must never change an answer — not even a bit.
 
     After a ``calibrate()`` pass the cost model holds measured latencies for
-    every in-process plan (and, when shard counts are calibrated, the
-    scatter-gather route), so the subsequent un-forced execution takes
-    whatever strategy the model picked.  Whatever it picks, the answers must
-    serialize byte-identically (``float.hex()``) to every fixed plan's — per
+    every in-process plan, so the subsequent un-forced execution takes
+    whatever plan the model picked.  Whatever it picks, the answers must
+    serialize byte-identically (``float.hex()``) to every fixed plan's — and
+    so must the same query run explicitly through a sharded corpus, per
     shard count.
     """
 
@@ -212,21 +212,26 @@ class TestCostBasedPlannerEquivalence:
             for plan in ("basic", "blocktree", "compiled")
         }
         assert fixed["basic"] == fixed["blocktree"] == fixed["compiled"]
-        session.calibrate(query, shard_counts=(num_shards,))
+        session.calibrate(query)
         routed = canonical_answers(session.execute(query, use_cache=False))
-        decision = session.plan_decision(session.prepare(query), allow_scatter=True)
+        decision = session.plan_decision(session.prepare(query))
         assert routed == fixed["compiled"], f"planner chose {decision.plan_name}"
+        sharded = canonical_answers(session.shard(num_shards).execute(query, use_cache=False))
+        assert sharded == fixed["compiled"]
 
     @settings(max_examples=10, deadline=None)
     @given(query_scenarios(), st.integers(1, 5), st.sampled_from([1, 2, 4, 7]))
     def test_cost_routed_topk_identical(self, scenario, k, num_shards):
         session, query = open_session(scenario)
         fixed = canonical_answers(session.execute(query, k=k, plan="compiled", use_cache=False))
-        session.calibrate(query, k=k, shard_counts=(num_shards,))
+        session.calibrate(query, k=k)
         routed = canonical_answers(session.execute(query, k=k, use_cache=False))
-        # Repeated scattered top-k replays seed the gather with the remembered
-        # exact threshold — answers must stay byte-identical regardless.
+        # The second sharded top-k run seeds the gather with the exact
+        # threshold the first one remembered — answers must stay
+        # byte-identical regardless.
         corpus = session.shard(num_shards)
+        scattered = canonical_answers(corpus.execute(query, k=k, use_cache=False))
         reseeded = canonical_answers(corpus.execute(query, k=k, use_cache=False))
         assert routed == fixed
+        assert scattered == fixed
         assert reseeded == fixed

@@ -36,7 +36,7 @@ REQUESTS = [
     BatchRequest(queries=("Q1", "Q2"), k=3),
     DeltaRequest(delta={"reweight": {"0": 0.5}}),
     ExplainRequest(query="Q7", analyze=True),
-    CalibrateRequest(query="Q1", plans=("basic", "compiled"), shard_counts=(2, 4)),
+    CalibrateRequest(query="Q1", plans=("basic", "compiled")),
     StatsRequest(),
     PingRequest(),
 ]
@@ -126,6 +126,17 @@ class TestRejection:
         response = ErrorResponse.from_exception(BadRequestError("x"))
         with pytest.raises(BadRequestError, match="error"):
             decode_request(encode_message(response))
+
+    def test_calibrate_shard_counts_rejected(self):
+        # Calibration measures in-process plans only; a shard-count list is
+        # refused rather than silently ignored.
+        payload = {
+            "v": PROTOCOL_VERSION,
+            "op": "calibrate",
+            "body": {"query": "Q1", "shard_counts": [4]},
+        }
+        with pytest.raises(BadRequestError, match="shard_counts"):
+            decode_request(json.dumps(payload).encode())
 
     def test_unknown_field_rejected(self):
         payload = {

@@ -7,6 +7,7 @@ import pytest
 from repro.engine import CompiledMappingSet, Dataspace, compile_mapping_set, plan_for
 from repro.mapping.mapping_set import iter_mapping_ids, mapping_mask
 from repro.query.parser import parse_twig
+from repro.query.ptq import derive_rewrites
 from repro.query.resolve import resolve_query
 
 ICN_QUERY = "//INVOICE_PARTY//CONTACT_NAME"
@@ -149,8 +150,11 @@ class TestCompiledMappingSet:
         compiled = figure_mappings.compile()
         query = parse_twig(ICN_QUERY)
         embeddings = resolve_query(query, figure_mappings.matching.target)
-        stats = compiled.rewrite_stats(embeddings, figure_mappings.mappings)
+        mask = compiled.mask_for(figure_mappings.mappings)
+        rewrites = derive_rewrites(query, compiled, embeddings, mask)
+        stats = compiled.rewrite_stats(rewrites, mask)
         assert stats["num_selected"] == len(figure_mappings)
+        assert stats["num_rewrite_groups"] == len(rewrites)
         assert stats["num_distinct_rewrites"] >= 1
         assert stats["num_rewrite_groups"] >= stats["num_distinct_rewrites"]
         assert stats["evaluations_saved"] >= 0

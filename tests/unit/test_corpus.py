@@ -10,6 +10,7 @@ from repro.corpus import (
     partition_document,
     subtree_size,
 )
+from repro.corpus.engine import recommend_scatter_workers
 from repro.engine import Dataspace
 from repro.exceptions import CorpusError, QueryError
 from repro.workloads import open_corpus
@@ -376,3 +377,12 @@ class TestStateMemoScaling:
         # The second gather reuses every memoized state instead of
         # re-partitioning (state objects are identical, not rebuilt).
         assert dict(corpus._states) == first
+
+
+class TestWorkerSizing:
+    def test_scatter_pool_keeps_gil_bound_sizing(self, figure_dataspace):
+        # The bitset loops hold the GIL: the pool stays between 2 and 8.
+        assert recommend_scatter_workers(4) == 4
+        assert recommend_scatter_workers(1) == 2
+        assert recommend_scatter_workers(100) == 8
+        assert figure_dataspace.shard(3).executor_config()["max_workers"] == 3

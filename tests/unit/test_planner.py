@@ -20,11 +20,9 @@ from repro.engine.planner import (
     QueryStatistics,
     StatisticsCollector,
     canonical_text,
-    default_service_workers,
     normalize_query_text,
-    recommend_scatter_workers,
-    scatter_plan_key,
 )
+from repro.engine.plans import available_plans
 from repro.query.parser import parse_twig
 from repro.store import ArtifactStore, MemoryBlockStore
 
@@ -154,13 +152,6 @@ class TestStatisticsCollector:
         collector.observe_execution("q", "compiled", 2.0)  # EWMA unchanged
         assert collector.version == stable
 
-    def test_scatter_counters_accumulate_under_plan_key(self):
-        collector = StatisticsCollector()
-        collector.observe_scatter("q", 4, 1.5, state=(0, 1), fan_out=3, skipped=1)
-        record = collector.get("q")
-        assert record.scatter[4] == {"executions": 1, "fan_out": 3, "skipped": 1}
-        assert record.plans[scatter_plan_key(4)].count == 1
-
     def test_topk_threshold_is_state_scoped(self):
         collector = StatisticsCollector()
         collector.record_topk_threshold("q", 3, "state-a", 0.25)
@@ -175,7 +166,6 @@ class TestStatisticsCollector:
             "q1", "compiled", 2.0, state=(1, 2), num_relevant=7, num_embeddings=3
         )
         collector.observe_execution("q1", "basic", 0.5)
-        collector.observe_scatter("q1", 2, 1.0, fan_out=2)
         collector.record_topk_threshold("q1", 5, "s", 0.125)
         collector.observe_cache_hit("q2")
         payload = collector.to_payload({"generation": 1})
@@ -206,8 +196,6 @@ def _stats_with(plans: dict, key: str = "q") -> QueryStatistics:
     for name, samples in plans.items():
         for sample in samples:
             record.plans.setdefault(name, PlanLatency()).observe(sample)
-        if name.startswith("scatter:"):
-            record.scatter.setdefault(int(name.split(":")[1]), {"executions": len(samples)})
     return record
 
 
@@ -219,7 +207,6 @@ class TestCostModel:
     def test_no_statistics_keeps_default(self):
         decision = CostModel().decide(None)
         assert decision.plan_name == "compiled"
-        assert decision.executor == "inline"
         assert "no statistics" in decision.reason
 
     def test_unmeasured_default_is_never_deviated_from(self):
@@ -233,7 +220,6 @@ class TestCostModel:
         stats = _stats_with({"compiled": [10.0, 10.0], "basic": [1.0, 1.0]})
         decision = CostModel().decide(stats)
         assert decision.plan_name == "basic"
-        assert decision.executor == "inline"
         assert "cost model" in decision.reason
         assert decision.statistics["plans"]["basic"]["count"] == 2
 
@@ -249,15 +235,6 @@ class TestCostModel:
         assert decision.plan_name == "compiled"
         assert "fastest" in decision.reason
 
-    def test_scatter_candidate_needs_opt_in(self):
-        stats = _stats_with({"compiled": [10.0], "scatter:4": [1.0]})
-        inline_only = CostModel().decide(stats)
-        assert inline_only.plan_name == "compiled"
-        scattered = CostModel().decide(stats, allow_scatter=True)
-        assert scattered.executor == "scatter"
-        assert scattered.plan_name == "scatter:4"
-        assert scattered.num_shards == 4
-
     def test_candidates_ranked_by_cost(self):
         stats = _stats_with(
             {"compiled": [2.0], "basic": [8.0], "blocktree": [4.0]}
@@ -268,15 +245,6 @@ class TestCostModel:
             "blocktree",
             "basic",
         ]
-
-
-class TestWorkerSizing:
-    def test_python_backend_keeps_gil_bound_sizing(self):
-        # The bitset loops hold the GIL: pools stay small and fixed.
-        assert recommend_scatter_workers(4) == 4
-        assert recommend_scatter_workers(1) == 2
-        assert recommend_scatter_workers(100) == 8
-        assert default_service_workers() == 8
 
 
 # --------------------------------------------------------------------------- #
@@ -339,20 +307,66 @@ class TestEngineIntegration:
         )
 
     def test_calibrate_measures_every_plan(self, figure_session):
-        timings = figure_session.calibrate(ICN_QUERY, shard_counts=(2,))
-        assert set(timings) == {"basic", "blocktree", "compiled", "scatter:2"}
+        timings = figure_session.calibrate(ICN_QUERY)
+        assert set(timings) == {"basic", "blocktree", "compiled"}
         assert all(latency >= 0.0 for latency in timings.values())
         stats = figure_session.planner.statistics(ICN_QUERY)
-        assert stats.plans["compiled"].count >= 1
-        assert stats.plans["scatter:2"].count >= 1
+        assert all(stats.plans[name].count >= 1 for name in timings)
 
     def test_cost_based_choice_is_byte_identical(self, figure_session):
         fixed = figure_session.execute(ICN_QUERY, plan="compiled", use_cache=False)
-        figure_session.calibrate(ICN_QUERY, shard_counts=(2,))
+        figure_session.calibrate(ICN_QUERY)
         routed = figure_session.execute(ICN_QUERY, use_cache=False)
         assert [
             (a.mapping_id, a.matches, a.probability.hex()) for a in fixed
         ] == [(a.mapping_id, a.matches, a.probability.hex()) for a in routed]
+
+    def test_statistics_with_scatter_records_still_load(self, figure_session):
+        # A payload as persisted before the planner stopped routing through
+        # scatter-gather: a "scatter" counter block and a "scatter:4" plan
+        # record that beats every in-process plan.
+        latency = {"count": 3, "total_ms": 3.0, "best_ms": 1.0, "last_ms": 1.0}
+        payload = {
+            "kind": "planner_stats",
+            "format": 1,
+            "signature": {},
+            "queries": [
+                {
+                    "key": ICN_QUERY,
+                    "executions": 9,
+                    "cache_hits": 0,
+                    "cache_misses": 6,
+                    "num_relevant": 5,
+                    "num_embeddings": 1,
+                    "distinct_rewrites": 2,
+                    "state": [0, 0],
+                    "plans": {
+                        "basic": dict(latency, ewma_ms=40.0),
+                        "compiled": dict(latency, ewma_ms=50.0),
+                        "scatter:4": dict(latency, ewma_ms=1.0),
+                    },
+                    "scatter": {"4": {"executions": 3, "fan_out": 12, "skipped": 0}},
+                    "topk_thresholds": {},
+                }
+            ],
+        }
+        assert figure_session.planner.adopt_payload(payload) == 1
+        prepared = figure_session.prepare(ICN_QUERY)
+        decisions = [
+            figure_session.plan_decision(prepared),
+            figure_session.plan_decision(prepared, k=2),
+            figure_session.explain(ICN_QUERY).to_dict()["planner"],
+        ]
+        winners = [decisions[0].plan_name, decisions[1].plan_name, decisions[2]["winner"]]
+        assert winners == ["basic", "basic", "basic"]
+        assert set(winners) <= set(available_plans())
+        assert {est.plan for est in decisions[0].candidates} <= set(available_plans())
+        for k in (None, 2):
+            fixed = figure_session.execute(ICN_QUERY, k=k, plan="compiled", use_cache=False)
+            routed = figure_session.execute(ICN_QUERY, k=k, use_cache=False)
+            assert [
+                (a.mapping_id, a.matches, a.probability.hex()) for a in fixed
+            ] == [(a.mapping_id, a.matches, a.probability.hex()) for a in routed]
 
     def test_explain_reports_planner_decision(self, figure_session):
         report = figure_session.explain(ICN_QUERY)

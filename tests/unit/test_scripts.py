@@ -100,6 +100,20 @@ class TestPerfTrajectory:
         assert trajectory["machine"]["python_version"] == "3.12.0"
         assert trajectory["machine"]["cpu_count"] == 8
 
+    def test_build_trajectory_stamps_src_lines(self, tmp_path):
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "a.py").write_text("x = 1\ny = 2\n")
+        (package / "b.py").write_text("z = 3\n")
+        (package / "notes.txt").write_text("not\ncounted\n")
+        assert perf_trajectory.src_line_count(tmp_path) == 3
+        # The record counts the repository's own src/, next to scripts/.
+        src = SCRIPTS.parent / "src"
+        assert perf_trajectory.SRC_ROOT == src
+        expected = sum(len(path.read_text().splitlines()) for path in src.rglob("*.py"))
+        trajectory = perf_trajectory.build_trajectory([RAW_BENCHMARK], run_id="5")
+        assert trajectory["src_lines"] == expected > 0
+
     def test_empty_reports(self):
         trajectory = perf_trajectory.build_trajectory([], run_id="0")
         assert trajectory["num_benchmarks"] == 0

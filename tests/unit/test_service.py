@@ -15,7 +15,7 @@ import pytest
 from repro.engine import Dataspace, ReadWriteLock, ResultCache
 from repro.exceptions import DataspaceError
 from repro.service import QueryService
-from repro.service.service import percentile
+from repro.service.service import default_service_workers, percentile
 
 ICN_QUERY = "//INVOICE_PARTY//CONTACT_NAME"
 SCN_QUERY = "//SUPPLIER_PARTY//CONTACT_NAME"
@@ -379,6 +379,12 @@ class TestQueryBatch:
 # QueryService
 # --------------------------------------------------------------------------- #
 class TestQueryService:
+    def test_default_pool_keeps_gil_bound_sizing(self, figure_dataspace):
+        # The bitset loops hold the GIL: the default pool is a fixed 8.
+        assert default_service_workers() == 8
+        with QueryService(figure_dataspace) as service:
+            assert service.max_workers == 8
+
     def test_submit_returns_future_with_result(self, figure_dataspace):
         with QueryService(figure_dataspace, max_workers=2) as service:
             future = service.submit(ICN_QUERY)
