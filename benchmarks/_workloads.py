@@ -80,6 +80,34 @@ def paired_rounds(rounds: int, first, second) -> list[tuple[float, float]]:
     ]
 
 
+def interleaved_rounds(
+    rounds: int, passes: int, first, second
+) -> list[tuple[float, float]]:
+    """Per-round total seconds of ``passes`` runs each of ``first`` and ``second``.
+
+    Like :func:`paired_rounds`, but the two paths alternate pass by pass
+    inside every round, and which one goes first alternates too.  For paths
+    whose single pass takes about a millisecond: the host's speed spells
+    last longer than that, so each spell lands on both sides alike instead
+    of deciding a whole round of one side.
+    """
+    clock = time.perf_counter
+    totals = []
+    for _ in range(max(1, rounds)):
+        first_total = second_total = 0.0
+        for index in range(passes):
+            swap = index % 2
+            started = clock()
+            (second if swap else first)()
+            middle = clock()
+            (first if swap else second)()
+            lead, trail = middle - started, clock() - middle
+            first_total += trail if swap else lead
+            second_total += lead if swap else trail
+        totals.append((first_total, second_total))
+    return totals
+
+
 def best_of_paired(rounds: int, first, second) -> tuple[float, float]:
     """Best elapsed seconds of ``first`` and of ``second`` over alternating rounds."""
     pairs = paired_rounds(rounds, first, second)

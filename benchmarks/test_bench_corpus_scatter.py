@@ -27,7 +27,7 @@ Design notes for CI (this file runs in the workflow's perf-trajectory job):
   same warmed corpus state, in alternating rounds, so machine speed and its
   drift cancel out; the per-round ratio spread is recorded next to it;
 * **warm measurements** — sessions, shard partitions, per-shard compiled
-  artifacts and resolve/filter memos are all built before timing; the result
+  artifacts, resolved queries and the filter cache are built before timing; the result
   cache is bypassed so real evaluation is measured;
 * **byte-identity sanity** — before timing, the sharded answers are asserted
   equal to the unsharded engine's, so the speedup being gated is for an

@@ -42,7 +42,7 @@ def test_compiled_plan_speedup_d7(benchmark, experiment_report):
     prepared = [session.prepare(query_id) for query_id in QUERY_IDS]
 
     # Warm everything outside the timed windows: artifacts, the compiled
-    # bitset view, per-query resolve/filter memos, and both plans' paths.
+    # bitset view, resolved queries, the filter cache and both plans' paths.
     session.snapshot(need_tree=False)
     session.compiled
     for item in prepared:

@@ -20,8 +20,10 @@ process so machine speed cancels out:
   plan — with byte-identical answers, asserted before timing.
 
 Both sides of each ratio are timed in alternating rounds
-(:func:`~_workloads.paired_rounds`).  The measured ratios, and the adaptive
-ratio's per-round spread, land in ``extra_info`` and therefore in the CI
+(:func:`~_workloads.paired_rounds`); the never-slower gate alternates them
+pass by pass inside each round (:func:`~_workloads.interleaved_rounds`) and
+reads the median of the per-round ratios.  The measured ratios and their
+per-round spreads land in ``extra_info`` and therefore in the CI
 ``BENCH_<run>.json`` trajectory artifact.
 """
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from repro.engine import Dataspace
 
-from _workloads import best_of_paired, paired_rounds, ratio_spread
+from _workloads import interleaved_rounds, paired_rounds, ratio_spread
 from test_bench_corpus_scatter import (
     QUERIES as CATALOGUE_QUERIES,
     build_workload as build_catalogue,
@@ -44,13 +46,17 @@ MIN_ADAPTIVE_SPEEDUP = 1.5
 DATASETS = ("D7", "D9", "D10")
 #: Mapping-set size for the paper datasets (cheap to build for all three).
 PLANNER_H = 25
-#: Timed rounds per side (best-of).  The no-regression sweeps are
-#: sub-millisecond, so the best-of needs enough rounds to shake scheduler
-#: noise out of both sides of the ratio.
+#: Timed rounds per side.  The adaptive gate takes the best of them; the
+#: no-regression gate takes the median of the per-round ratios.
 ROUNDS = 9
-#: Executions of each query inside one timed no-regression sweep — a longer
-#: timed window shrinks the relative timer noise the ratio tolerance absorbs.
-SWEEP_REPEATS = 3
+#: Passes over a dataset's queries per side in one timed no-regression round.
+#: One pass takes ~0.35-1.3 ms uncached on a 2-vCPU host, so 40 keep every
+#: side's round above ~14 ms.  The fixed and routed passes alternate inside
+#: the round, and the gate reads the median per-round ratio: with whole
+#: sweeps timed one after the other and the best of each side compared, the
+#: host's speed spells decided the ratio, which read 0.86-1.31 at 3 passes
+#: and 0.81-1.46 at 30 against the 1.10 bound.
+SWEEP_REPEATS = 40
 
 
 def _dataset_queries(dataset_id: str) -> list[str]:
@@ -63,9 +69,11 @@ def test_planner_never_slower_than_fixed(benchmark, experiment_report):
     report = experiment_report(
         "planner_no_regression",
         f"Cost-routed execute vs forced compiled plan "
-        f"({', '.join(DATASETS)}, |M|={PLANNER_H}, best of {ROUNDS})",
+        f"({', '.join(DATASETS)}, |M|={PLANNER_H}, median of {ROUNDS} rounds of "
+        f"{SWEEP_REPEATS} interleaved passes)",
     )
     ratios: dict[str, float] = {}
+    spreads: dict[str, dict[str, float]] = {}
     sessions: dict[str, Dataspace] = {}
     for dataset_id in DATASETS:
         session = Dataspace.from_dataset(dataset_id, h=PLANNER_H)
@@ -74,27 +82,28 @@ def test_planner_never_slower_than_fixed(benchmark, experiment_report):
         session.snapshot(need_tree=False)
         session.compiled
 
-        def fixed_sweep():
-            for _ in range(SWEEP_REPEATS):
-                for query in queries:
-                    session.execute(query, plan="compiled", use_cache=False)
+        def fixed_pass():
+            for query in queries:
+                session.execute(query, plan="compiled", use_cache=False)
 
-        def routed_sweep():
-            for _ in range(SWEEP_REPEATS):
-                for query in queries:
-                    session.execute(query, use_cache=False)
+        def routed_pass():
+            for query in queries:
+                session.execute(query, use_cache=False)
 
-        # The fixed sweep warms resolve/filter memos; the first routed sweep
-        # then feeds the planner its first measurements — exactly the
-        # serving-traffic sequence the conservative model is designed for.
-        # The two sweeps alternate so both see the same host conditions.
-        fixed_time, routed_time = best_of_paired(ROUNDS, fixed_sweep, routed_sweep)
-        ratio = routed_time / fixed_time if fixed_time > 0 else 1.0
-        ratios[dataset_id] = ratio
+        # The first fixed pass resolves every query and fills the session
+        # filter cache; the first routed pass then feeds the planner its
+        # first measurements — exactly the serving-traffic sequence the
+        # conservative model is designed for.
+        pairs = interleaved_rounds(ROUNDS, SWEEP_REPEATS, fixed_pass, routed_pass)
+        spread = ratio_spread([(routed, fixed) for fixed, routed in pairs])
+        ratios[dataset_id] = spread["median"]
+        spreads[dataset_id] = spread
         report.add_row(
             dataset_id,
-            f"fixed {fixed_time * 1000:7.2f} ms  routed {routed_time * 1000:7.2f} ms  "
-            f"ratio {ratio:.2f} (allowed <= {NO_REGRESSION_TOLERANCE:.2f})",
+            f"fixed {min(fixed for fixed, _ in pairs) * 1000:7.2f} ms  "
+            f"routed {min(routed for _, routed in pairs) * 1000:7.2f} ms (best rounds)  "
+            f"ratio {spread['median']:.2f} (median of {spread['min']:.2f}-"
+            f"{spread['max']:.2f}; allowed <= {NO_REGRESSION_TOLERANCE:.2f})",
         )
 
     worst_dataset = max(ratios, key=ratios.get)
@@ -107,6 +116,7 @@ def test_planner_never_slower_than_fixed(benchmark, experiment_report):
     benchmark.pedantic(run_all_routed, rounds=3, iterations=1)
     benchmark.extra_info["ratios"] = ratios
     benchmark.extra_info["worst_ratio"] = ratios[worst_dataset]
+    benchmark.extra_info["ratio_spread"] = spreads
 
     assert ratios[worst_dataset] <= NO_REGRESSION_TOLERANCE, (
         f"cost-routed execution on {worst_dataset} is "

@@ -72,10 +72,10 @@ def main() -> None:
 
     # The whole Table III workload in one batched call: the session prepares
     # every query, selects the plan once, and reuses its cached artifacts.
-    batch_time, batch_results = timed(ds.batch, list(repro.QUERY_IDS))
+    batch_time, batch_results = timed(ds.query_batch, list(repro.QUERY_IDS))
     print(f"\nbatch: all {len(batch_results)} queries in {batch_time * 1000:.1f} ms "
           f"(prepared queries cached: second run "
-          f"{timed(ds.batch, list(repro.QUERY_IDS))[0] * 1000:.1f} ms)")
+          f"{timed(ds.query_batch, list(repro.QUERY_IDS))[0] * 1000:.1f} ms)")
 
     # A user who only cares about the most credible interpretations can ask
     # for the top-k answers instead.

@@ -50,7 +50,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.corpus.sharding import DocumentPartition, partition_document
 from repro.engine.cache import CacheKey
@@ -83,6 +83,10 @@ SCATTER_GATHER = "scatter-gather"
 #: the actual bound scales with the session count (see ShardedCorpus) so a
 #: many-dataset corpus can hold every member's current state at once.
 _MIN_STATES = 8
+
+#: ShardReport status of a partial the result cache served, by lookup state;
+#: any other state means the partial was evaluated.
+_PARTIAL_STATUS = {"hit": "cached", "retained": "retained"}
 
 
 # --------------------------------------------------------------------------- #
@@ -164,7 +168,7 @@ class ShardReport:
     ``status`` is one of ``"evaluated"``, ``"cached"`` (partial served from
     the result cache), ``"retained"`` (clean shard after a mapping delta:
     the pre-delta partial provably survived and was promoted, see
-    :meth:`repro.engine.cache.ResultCache.retain`), ``"spine"`` (the
+    :meth:`repro.engine.cache.ResultCache.lookup`), ``"spine"`` (the
     per-session spine pass), ``"skipped-bound"`` (session bound below the
     global top-k threshold), ``"skipped-empty"`` (no selected mappings for
     the session) or ``"skipped-local"`` (every rewrite touches an element
@@ -783,17 +787,10 @@ class ShardedCorpus:
                 shards=self.num_shards,
                 delta_epoch=signature[0][3],
             )
-            result_cache = gathers[0].state.session.result_cache
-            cached = result_cache.get(merged_key)
-            if cached is not None:
-                gathers[0].state.session.planner.observe_cache_hit(
-                    gathers[0].prepared.cache_key
-                )
-                return self._from_cached(cached, gathers[0], k, signature, started)
             # Retain-on-miss across a delta: merged results carry
             # probabilities, so the guard is the full dirty-mapping mask
             # against this query's relevant mappings plus its target set.
-            cached = result_cache.retain(
+            cached, state = gathers[0].state.session.result_cache.lookup(
                 merged_key,
                 gathers[0].relevant_mask(),
                 gathers[0].prepared.required_target_mask(),
@@ -803,7 +800,7 @@ class ShardedCorpus:
                     gathers[0].prepared.cache_key
                 )
                 return self._from_cached(
-                    cached, gathers[0], k, signature, started, cache="retained"
+                    cached, gathers[0], k, signature, started, cache=state
                 )
             cache_state = "miss"
 
@@ -1103,6 +1100,40 @@ class ShardedCorpus:
             delta_epoch=epoch,
         )
 
+    def _cached_partial(
+        self,
+        gather: _Gather,
+        scope: str,
+        shard: Optional[int],
+        k: Optional[int],
+        base_signature: tuple,
+        epochs: tuple,
+        use_cache: bool,
+        evaluate: Callable[[], Any],
+    ) -> tuple[Any, str]:
+        """One shard (or spine) partial through the session result cache.
+
+        Returns the partial and its cache state (``"hit"``, ``"retained"``,
+        ``"miss"`` or ``"bypass"``).  Clean-shard skip after a delta: a
+        partial stores match sets (no probabilities), so for full
+        evaluations only *structural* dirt can invalidate it; a top-k
+        partial also depends on the probability-driven selection, so it
+        checks the full dirty mask.
+        """
+        if not use_cache:
+            return evaluate(), "bypass"
+        cache = gather.state.session.result_cache
+        key = self._partial_key(gather, scope, shard, k, base_signature, epochs)
+        cached, state = cache.lookup(
+            key,
+            gather.relevant_mask(),
+            gather.prepared.required_target_mask(),
+            probability_sensitive=k is not None,
+        )
+        if cached is None:
+            cached = cache.put(key, evaluate())
+        return cached, state
+
     def _shard_task(
         self,
         gather: _Gather,
@@ -1114,68 +1145,32 @@ class ShardedCorpus:
         epochs: tuple,
         use_cache: bool,
     ) -> Callable[[], tuple[int, ShardReport, dict]]:
-        cache = gather.state.session.result_cache if use_cache else None
-        key = (
-            self._partial_key(gather, "shard", shard.shard_id, k, base_signature, epochs)
-            if cache is not None
-            else None
-        )
-
-        def run() -> tuple[int, ShardReport, dict]:
-            started = time.perf_counter()
-            if cache is not None and key is not None:
-                status = "cached"
-                cached = cache.get(key)
-                if cached is None:
-                    # Clean-shard skip after a delta: a partial stores match
-                    # sets (no probabilities), so for full evaluations only
-                    # *structural* dirt can invalidate it; a top-k partial
-                    # also depends on the probability-driven selection, so it
-                    # checks the full dirty mask.
-                    cached = cache.retain(
-                        key,
-                        gather.relevant_mask(),
-                        gather.prepared.required_target_mask(),
-                        probability_sensitive=k is not None,
-                    )
-                    status = "retained"
-                if cached is not None:
-                    per_mapping, groups, pruned, deferred, matches = cached
-                    report = ShardReport(
-                        shard_id=shard.shard_id,
-                        dataset=shard.dataset,
-                        status=status,
-                        num_nodes=len(shard.document),
-                        num_subtrees=shard.document.num_subtrees,
-                        groups=groups,
-                        pruned=pruned,
-                        deferred=deferred,
-                        matches=matches,
-                        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-                    )
-                    return gather.entry_index, report, per_mapping
+        def evaluate() -> tuple[dict, int, int, int, int]:
             # Rewrites touching an element absent from the shard are pruned.
             present = shard.document.present_elements
             usable = [rewrite for rewrite in plan if present.issuperset(rewrite[1])]
-            pruned = len(plan) - len(usable)
             per_mapping, by_signature = match_rewrites(
                 shard.document, gather.prepared.query, usable
             )
             matches = _matches_found(usable, by_signature)
-            if cache is not None and key is not None:
-                stored = cache.put(
-                    key, (per_mapping, len(usable), pruned, num_deferred, matches)
-                )
-                per_mapping = stored[0]
+            return per_mapping, len(usable), len(plan) - len(usable), num_deferred, matches
+
+        def run() -> tuple[int, ShardReport, dict]:
+            started = time.perf_counter()
+            partial, state = self._cached_partial(
+                gather, "shard", shard.shard_id, k, base_signature, epochs, use_cache,
+                evaluate,
+            )
+            per_mapping, groups, pruned, deferred, matches = partial
             report = ShardReport(
                 shard_id=shard.shard_id,
                 dataset=shard.dataset,
-                status="evaluated",
+                status=_PARTIAL_STATUS.get(state, "evaluated"),
                 num_nodes=len(shard.document),
                 num_subtrees=shard.document.num_subtrees,
-                groups=len(usable),
+                groups=groups,
                 pruned=pruned,
-                deferred=num_deferred,
+                deferred=deferred,
                 matches=matches,
                 elapsed_ms=(time.perf_counter() - started) * 1000.0,
             )
@@ -1192,12 +1187,6 @@ class ShardedCorpus:
         epochs: tuple,
         use_cache: bool,
     ) -> Callable[[], tuple[int, ShardReport, dict]]:
-        cache = gather.state.session.result_cache if use_cache else None
-        key = (
-            self._partial_key(gather, "spine", None, k, base_signature, epochs)
-            if cache is not None
-            else None
-        )
         document = gather.state.snapshot.document
 
         def evaluate() -> tuple[dict, int]:
@@ -1208,29 +1197,13 @@ class ShardedCorpus:
 
         def run() -> tuple[int, ShardReport, dict]:
             started = time.perf_counter()
-            status = "spine"
-            if cache is not None and key is not None:
-                cached = cache.get(key)
-                if cached is not None:
-                    status = "cached"
-                else:
-                    cached = cache.retain(
-                        key,
-                        gather.relevant_mask(),
-                        gather.prepared.required_target_mask(),
-                        probability_sensitive=k is not None,
-                    )
-                    if cached is not None:
-                        status = "retained"
-                if cached is None:
-                    cached = cache.put(key, evaluate())
-                per_mapping, matches = cached
-            else:
-                per_mapping, matches = evaluate()
+            (per_mapping, matches), state = self._cached_partial(
+                gather, "spine", None, k, base_signature, epochs, use_cache, evaluate
+            )
             report = ShardReport(
                 shard_id=-1,
                 dataset=gather.state.session.name,
-                status=status,
+                status=_PARTIAL_STATUS.get(state, "spine"),
                 num_nodes=len(document),
                 num_subtrees=0,
                 groups=len(spine_plan),
@@ -1250,7 +1223,7 @@ class ShardedCorpus:
         k: Optional[int],
         signature: tuple,
         started: float,
-        cache: str = "hit",
+        cache: str,
     ) -> CorpusExecution:
         name = gather.state.session.name
         answers = tuple(

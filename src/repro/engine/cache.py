@@ -26,7 +26,7 @@ __all__ = ["CacheKey", "CacheStats", "ResultCache"]
 #: Bound on remembered delta transitions; retention across more than this
 #: many epochs conservatively fails (the entry is simply recomputed).
 _MAX_DELTA_LOG = 64
-#: Bound on how many epochs one retain() call walks back.
+#: Bound on how many epochs one lookup() call walks back.
 _MAX_RETAIN_SCAN = 16
 
 
@@ -53,7 +53,7 @@ class CacheKey(NamedTuple):
     * ``delta_epoch`` is the fine-grained counter bumped by
       :meth:`Dataspace.apply_delta <repro.engine.dataspace.Dataspace.apply_delta>`
       *within* one generation.  It is what makes delta-aware retention
-      possible: on a miss at the current epoch, :meth:`ResultCache.retain`
+      possible: on a miss at the current epoch, :meth:`ResultCache.lookup`
       looks for the same key at earlier epochs and promotes the entry when
       the intervening deltas provably cannot have affected it.
 
@@ -84,8 +84,8 @@ class CacheStats:
     ``hits``/``misses`` count lookups, ``evictions`` counts LRU removals
     caused by capacity pressure, and ``size``/``capacity`` describe the
     current occupancy.  ``retained`` counts entries that survived a mapping
-    delta: served by :meth:`ResultCache.retain` after the plain lookup at
-    the new ``delta_epoch`` missed.  A retained serve is *not* also counted
+    delta: served by :meth:`ResultCache.lookup` after the key at the new
+    ``delta_epoch`` itself missed.  A retained serve is *not* also counted
     as a hit, so ``hit_rate`` keeps its pre-delta meaning.
     """
 
@@ -144,7 +144,7 @@ class ResultCache:
         self._retained = 0
         #: delta_epoch -> (probability-dirty mapping mask, dirty target
         #: mask), recorded by the session on every applied delta; consulted
-        #: by :meth:`retain` to prove an older-epoch entry still valid.
+        #: by :meth:`lookup` to prove an older-epoch entry still valid.
         self._deltas: "OrderedDict[int, tuple[int, int]]" = OrderedDict()
 
     @property
@@ -233,7 +233,7 @@ class ResultCache:
             while len(self._deltas) > _MAX_DELTA_LOG:
                 self._deltas.popitem(last=False)
 
-    def retain(
+    def lookup(
         self,
         key: Any,
         mapping_mask: int,
@@ -241,16 +241,22 @@ class ResultCache:
         *,
         probability_sensitive: bool = True,
         transform: Optional[Callable[[Any], Any]] = None,
-    ) -> Optional[Any]:
-        """Retain-on-miss: promote a pre-delta entry that provably survived.
+    ) -> tuple[Optional[Any], str]:
+        """Retain-on-miss lookup: ``(value or None, state)`` under one lock.
 
-        Called after :meth:`get` missed for ``key`` — any named-tuple key
-        with a ``delta_epoch`` field holding the current epoch (the result
-        cache's :class:`CacheKey`, the session filter cache's signature
-        key).  Walks back through earlier epochs of the
-        *same* key, accumulating the recorded dirt of every intervening
-        delta, and stops as soon as the accumulated dirt intersects the
-        caller's masks — one bitwise AND per mask:
+        ``state`` is ``"hit"`` when ``key`` itself is cached, ``"retained"``
+        when a pre-delta entry provably survived and was promoted, and
+        ``"miss"`` when the caller must evaluate.  A retained serve counts
+        one miss *and* one retained (never a hit), so ``hit_rate`` keeps its
+        pre-delta meaning.
+
+        ``key`` is any named-tuple key with a ``delta_epoch`` field holding
+        the current epoch (the result cache's :class:`CacheKey`, the session
+        filter cache's signature key).  On a miss the lookup walks back
+        through earlier epochs of the *same* key, accumulating the recorded
+        dirt of every intervening delta, and stops as soon as the
+        accumulated dirt intersects the caller's masks — one bitwise AND per
+        mask:
 
         * ``mapping_mask`` — the mappings the cached entry depends on
           (typically the query's relevant-mapping mask), checked against the
@@ -278,16 +284,23 @@ class ResultCache:
         cache).
 
         A surviving entry is re-keyed to the current epoch (the old key is
-        removed) and returned; ``None`` means nothing could be proven and
-        the caller must evaluate.  Entries can never be retained across a
-        generation bump or a full ``invalidate()``: only ``delta_epoch``
-        varies in the probed keys, every other field (including
-        ``generation``) must match exactly.
+        removed).  Entries can never be retained across a generation bump or
+        a full ``invalidate()``: only ``delta_epoch`` varies in the probed
+        keys, every other field (including ``generation``) must match
+        exactly.
         """
-        epoch = getattr(key, "delta_epoch", None)
-        if self._capacity == 0 or not isinstance(epoch, int) or epoch <= 0:
-            return None
         with self._lock:
+            try:
+                value = self._entries[key]
+            except KeyError:
+                self._misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return value, "hit"
+            epoch = getattr(key, "delta_epoch", None)
+            if self._capacity == 0 or not isinstance(epoch, int) or epoch <= 0:
+                return None, "miss"
             accumulated_mappings = 0
             accumulated_targets = 0
             lowest = max(0, epoch - _MAX_RETAIN_SCAN)
@@ -296,7 +309,7 @@ class ResultCache:
                 if recorded is None:
                     # Unknown transition (log evicted or epoch from another
                     # cache): nothing can be proven about it.
-                    return None
+                    return None, "miss"
                 probability_dirt, dirty_targets = recorded
                 if probability_sensitive:
                     accumulated_mappings |= probability_dirt
@@ -305,7 +318,7 @@ class ResultCache:
                     accumulated_targets & target_mask
                 ):
                     # Dirty already; older entries carry at least this dirt.
-                    return None
+                    return None, "miss"
                 old_key = key._replace(delta_epoch=earlier)
                 value = self._entries.get(old_key)
                 if value is not None:
@@ -313,10 +326,9 @@ class ResultCache:
                     if transform is not None:
                         value = transform(value)
                     self._entries[key] = value
-                    self._entries.move_to_end(key)
                     self._retained += 1
-                    return value
-            return None
+                    return value, "retained"
+            return None, "miss"
 
     def clear(self) -> None:
         """Drop every entry and the delta log (statistics are kept)."""

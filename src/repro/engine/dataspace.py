@@ -24,9 +24,9 @@ the untouched columns of the compiled artifact, and bumps only the
 fine-grained ``delta_epoch`` counter — cached results whose inputs the delta
 provably did not touch keep serving (see :mod:`repro.engine.delta`).
 
-The *generation* counter is what prepared queries key their cached filter
-step on, so a reconfigured session transparently refreshes exactly the work
-that went stale.  The compiled bitset view of the mapping set
+The *generation* and *delta_epoch* counters key the session's filter cache,
+so a reconfigured session transparently refreshes exactly the work that went
+stale.  The compiled bitset view of the mapping set
 (:mod:`repro.engine.compiled`, the default plan's substrate) is memoized on
 the mapping set itself, so whatever invalidates the mapping set retires the
 compiled artifact with it.
@@ -57,7 +57,7 @@ Typical usage::
     ds = Dataspace.from_dataset("D7", h=100)
     result = ds.query("Order/DeliverTo/Contact/EMail").top_k(10).execute()
     report = ds.query("Q7").explain()          # which plan ran, and why
-    results = ds.query_batch(["Q1", "Q2", "Q3"], max_workers=4)
+    results = ds.query_batch(["Q1", "Q2", "Q3"])   # one shared snapshot
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ import time
 import warnings
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Union
 
 from repro.core.blocktree import BlockTree, BlockTreeConfig, build_block_tree
 from repro.document.document import XMLDocument
@@ -128,7 +128,7 @@ class _FilterKey(NamedTuple):
 
     A :class:`~typing.NamedTuple` with a ``delta_epoch`` field (like
     :class:`~repro.engine.cache.CacheKey`) so
-    :meth:`~repro.engine.cache.ResultCache.retain` can probe earlier epochs
+    :meth:`~repro.engine.cache.ResultCache.lookup` can probe earlier epochs
     of the same signature and promote a surviving prefix instead of
     recomputing it — closing the per-epoch filter recompute.
     """
@@ -768,7 +768,7 @@ class Dataspace:
         The *generation* is **not** bumped: result-cache entries whose
         relevant mappings and required target elements do not intersect the
         delta's dirty masks keep serving across the epoch boundary (see
-        :meth:`~repro.engine.cache.ResultCache.retain`), and a sharded
+        :meth:`~repro.engine.cache.ResultCache.lookup`), and a sharded
         corpus over this session reuses its document partition and skips
         re-evaluating clean shards.
 
@@ -1271,14 +1271,15 @@ class Dataspace:
             self._partition_layouts[partition.num_shards] = (version, layout)
 
     def relevant_for(
-        self, embeddings: list[Embedding], snapshot: Optional[EngineSnapshot] = None
+        self, prepared: PreparedQuery, snapshot: Optional[EngineSnapshot] = None
     ) -> MappingSubset:
-        """Relevant mappings for ``embeddings``, via the shared filter cache.
+        """Relevant mappings for ``prepared``, via the shared filter cache.
 
-        Queries whose embeddings require the same target-element sets have —
-        by construction of :func:`~repro.query.ptq.filter_mappings` — the
-        same relevant-mapping list, so the filter prefix is cached per
-        ``(generation, required-target signature)`` and shared across every
+        The one memo of the filter step.  Queries whose embeddings require
+        the same target-element sets have — by construction of
+        :func:`~repro.query.ptq.filter_mappings` — the same relevant-mapping
+        list, so the filter prefix is cached per ``(generation,
+        required-target signature, delta_epoch)`` and shared across every
         query and caller that hits those schema elements.
 
         The prefix is also retained *across delta epochs*: on a miss at the
@@ -1295,29 +1296,21 @@ class Dataspace:
         the compiled evaluator consume.
         """
         snap = snapshot if snapshot is not None else self.snapshot(need_tree=False)
-        signature = frozenset(frozenset(embedding.values()) for embedding in embeddings)
-        key = _FilterKey(
-            generation=snap.generation, signature=signature, delta_epoch=snap.delta_epoch
+        embeddings, signature, required_mask = prepared._resolve()
+        key = _FilterKey(snap.generation, signature, snap.delta_epoch)
+        mapping_set = snap.mapping_set
+        relevant, _ = self._filter_cache.lookup(
+            key,
+            0,
+            required_mask,
+            probability_sensitive=False,
+            transform=lambda rows: MappingSubset(
+                [mapping_set[m.mapping_id] for m in rows], rows.mask
+            ),
         )
-        relevant = self._filter_cache.get(key)
-        if relevant is None:
-            required_mask = 0
-            for values in signature:
-                for target_id in values:
-                    required_mask |= 1 << target_id
-            mapping_set = snap.mapping_set
-            relevant = self._filter_cache.retain(
-                key,
-                0,
-                required_mask,
-                probability_sensitive=False,
-                transform=lambda rows: MappingSubset(
-                    [mapping_set[m.mapping_id] for m in rows], rows.mask
-                ),
-            )
         if relevant is None:
             relevant = self._filter_cache.put(
-                key, filter_mappings(snap.mapping_set, embeddings)
+                key, filter_mappings(mapping_set, embeddings)
             )
         return relevant
 
@@ -1447,27 +1440,12 @@ class Dataspace:
             k=k, plan=plan, use_cache=use_cache, analyze=analyze
         )
 
-    def batch(
-        self,
-        queries: Iterable[Union[str, TwigQuery]],
-        *,
-        k: Optional[int] = None,
-        plan: PlanSpec = None,
-    ) -> list[PTQResult]:
-        """Evaluate many queries against one consistent session state.
-
-        Sequential convenience alias of :meth:`query_batch`; all queries run
-        against one snapshot, sharing prepared-query and filter-prefix work.
-        """
-        return self.query_batch(queries, k=k, plan=plan)
-
     def query_batch(
         self,
         queries: Iterable[Union[str, TwigQuery]],
         *,
         k: Optional[int] = None,
         plan: PlanSpec = None,
-        max_workers: Optional[int] = None,
         executor: Optional["Executor"] = None,
         use_cache: bool = True,
         timings_ms: Optional[list[float]] = None,
@@ -1488,13 +1466,10 @@ class Dataspace:
             Query strings, ids or :class:`TwigQuery` objects.
         k, plan:
             Per-batch top-k restriction and plan override.
-        max_workers:
-            Fan evaluation out over a private thread pool of this size;
-            ``None`` (default) evaluates sequentially in the calling thread.
         executor:
-            Fan out over a caller-owned executor instead (takes precedence
-            over ``max_workers``); used by the service layer to share one
-            pool across batches.
+            Fan evaluation out over this caller-owned executor (the service
+            layer shares one pool across batches); ``None`` (default)
+            evaluates sequentially in the calling thread.
         use_cache:
             Consult/populate the session result cache (default ``True``).
         timings_ms:
@@ -1527,33 +1502,11 @@ class Dataspace:
         if executor is not None and len(items) > 1:
             futures = [(id(item), executor.submit(run_one, item)) for item in items]
             results = {key: future.result() for key, future in futures}
-        elif max_workers is not None and max_workers > 1 and len(items) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=min(max_workers, len(items))) as pool:
-                futures = [(id(item), pool.submit(run_one, item)) for item in items]
-                results = {key: future.result() for key, future in futures}
         else:
             results = {id(item): run_one(item) for item in items}
         if timings_ms is not None:
             timings_ms.extend(results[id(item)][1] for item in prepared)
         return [results[id(item)][0] for item in prepared]
-
-    def select_plan(self, plan: PlanSpec = None) -> Tuple[QueryPlan, str]:
-        """Pick the evaluation plan without a query: ``(plan, reason)``.
-
-        A caller-supplied ``plan`` (name or instance) is honoured verbatim;
-        otherwise the session runs the ``compiled`` plan — it shares work
-        across mappings wherever they agree on a rewrite (a strict
-        generalisation of the block tree's c-block sharing) and needs no
-        block tree at all, so automatic selection never triggers a tree
-        build.  All plans return identical answers, so the choice is purely
-        a performance strategy.  Query-aware selection (measured statistics
-        through the cost model) is :meth:`plan_decision`.
-        """
-        if plan is not None:
-            return plan_for(plan), "forced by caller"
-        return plan_for("compiled"), "compiled bitset core (session default)"
 
     # ------------------------------------------------------------------ #
     # Cost-based planning

@@ -24,7 +24,7 @@ scratch and retired every cache entry of the generation.  A
   lists changed) — which is exactly what the delta-aware
   :class:`~repro.engine.cache.ResultCache` needs for its retain-on-miss
   check: a cached entry survives the delta when one bitwise AND against each
-  mask comes back empty (see :meth:`~repro.engine.cache.ResultCache.retain`).
+  mask comes back empty (see :meth:`~repro.engine.cache.ResultCache.lookup`).
 
 The session-level entry point is :meth:`Dataspace.apply_delta
 <repro.engine.dataspace.Dataspace.apply_delta>` (and
@@ -245,7 +245,7 @@ class DeltaEffect:
     ``dirty_target_mask`` the target elements whose posting lists were
     edited.
 
-    The retention check (:meth:`repro.engine.cache.ResultCache.retain`)
+    The retention check (:meth:`repro.engine.cache.ResultCache.lookup`)
     needs only ``probability_mask`` and ``dirty_target_mask``: a structural
     edit can influence a query result *only through the edited target
     elements* — coverage, relevance and rewrites at every other target are

@@ -2,7 +2,7 @@
 
 Two query texts that parse to the same twig structure should share one
 :class:`~repro.engine.prepared.PreparedQuery` — and with it the resolved
-embeddings, the per-generation filter memo and the planner's accumulated
+embeddings, the filter signature and the planner's accumulated
 statistics.  :func:`canonical_text` renders a parsed :class:`TwigQuery` back
 into a single canonical string so that whitespace variants
 (``"Order / DeliverTo"``), predicate-order variants

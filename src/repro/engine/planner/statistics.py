@@ -30,6 +30,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.engine.plans import available_plans
+
 __all__ = ["PlanLatency", "QueryStatistics", "StatisticsCollector"]
 
 #: Payload format version (bumped on incompatible layout changes).
@@ -163,8 +165,13 @@ class QueryStatistics:
             distinct_rewrites=payload.get("distinct_rewrites"),
             state=(int(state[0]), int(state[1])) if state else None,
         )
+        # Records of unregistered plans (e.g. ``scatter:<n>`` from before
+        # the scatter route was deleted) are dropped: the cost model never
+        # reads them, and keeping them would re-persist them forever.
+        registered = available_plans()
         for name, latency in payload.get("plans", {}).items():
-            record.plans[str(name)] = PlanLatency.from_payload(latency)
+            if name in registered:
+                record.plans[name] = PlanLatency.from_payload(latency)
         for token, probability in payload.get("topk_thresholds", {}).items():
             record.topk_thresholds[str(token)] = float(probability)
         return record

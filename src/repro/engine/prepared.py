@@ -1,19 +1,23 @@
 """Prepared queries and the fluent query builder.
 
 A :class:`PreparedQuery` is a twig query compiled against one
-:class:`~repro.engine.dataspace.Dataspace` session: the resolve step (query →
-target-schema embeddings) is computed once per query, and the filter step
-(relevant mappings) once per *mapping-set generation* — the session bumps its
-generation counter whenever the mapping set is invalidated, so a prepared
-query transparently refreshes exactly the work that went stale.  The filter
-step goes through the session's shared filter cache, so distinct queries that
-require the same target elements share one ``filter_mappings`` pass.
+:class:`~repro.engine.dataspace.Dataspace` session.  The resolve step (query →
+target-schema embeddings) runs once per prepared query, together with the two
+values derived from it: the filter signature (the target-element sets the
+embeddings require) and the required-target bitmask.  The filter step
+(relevant mappings) is memoised in one place, the session's shared filter
+cache, keyed by ``(generation, signature, delta_epoch)``: distinct queries
+that require the same target elements share one ``filter_mappings`` pass, and
+a reconfigured or delta-patched session refreshes exactly the work that went
+stale.
 
 Execution is snapshot-based and thread-safe: each :meth:`PreparedQuery.execute`
 captures (or receives) a consistent :class:`~repro.engine.dataspace.EngineSnapshot`
 and consults the session's result cache under a key that includes the
 snapshot's generation, so concurrent reconfiguration can neither tear an
-evaluation nor let a stale cached answer escape.
+evaluation nor let a stale cached answer escape.  ``execute()`` and
+``explain()`` share one evaluation step: a retain-on-miss cache lookup, the
+plan run on a miss, the planner observation and the cache put.
 
 :class:`QueryBuilder` is the immutable fluent front-end::
 
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.engine.cache import CacheKey
@@ -54,21 +57,15 @@ __all__ = ["PreparedQuery", "QueryBuilder"]
 
 PlanSpec = Union[str, QueryPlan, None]
 
-#: Per-generation relevant-mapping memos kept per prepared query; old
-#: generations are pruned so long-lived sessions cannot grow unboundedly.
-_MAX_GENERATION_MEMOS = 8
-
 
 class PreparedQuery:
     """A twig query compiled against a session (see module docstring).
 
     Obtain instances through :meth:`Dataspace.prepare` (or the fluent
     :meth:`Dataspace.query`); the session caches them per query text.
-    ``resolve_count`` and ``filter_count`` record how often the two cached
-    pipeline stages were actually refreshed — they are what the engine's
-    cache tests observe.  (A refresh of the filter stage may itself be served
-    by the session's *shared* filter cache when another query with the same
-    target-element signature got there first.)
+    ``resolve_count`` records how often the resolve stage ran (never more
+    than once); how often the filter stage ran is counted by the session's
+    filter cache (``Dataspace.cache_stats()["filter_cache"]``).
     """
 
     def __init__(
@@ -80,18 +77,9 @@ class PreparedQuery:
             query.text or f"<twig:{id(query)}>"
         )
         self._memo_lock = threading.Lock()
-        self._embeddings: Optional[list[Embedding]] = None
-        self._target_mask: Optional[int] = None
-        # Keyed by (generation, delta_epoch): a delta can change which
-        # mappings are relevant, so the memo is per mapping-set *state*.
-        self._relevant_by_generation: "OrderedDict[tuple[int, int], MappingSubset]" = (
-            OrderedDict()
-        )
+        self._resolved: Optional[tuple[list[Embedding], frozenset, int]] = None
         #: Number of times the resolve stage ran (never more than once).
         self.resolve_count = 0
-        #: Number of times the filter stage was refreshed (once per mapping-set
-        #: generation this query executed against).
-        self.filter_count = 0
 
     # ------------------------------------------------------------------ #
     # Cached pipeline stages
@@ -116,58 +104,51 @@ class PreparedQuery:
         """Stable key identifying this query in the session's caches."""
         return self._cache_key
 
+    def _resolve(self) -> tuple[list[Embedding], frozenset, int]:
+        """``(embeddings, filter signature, required-target mask)``, resolved once.
+
+        The filter signature — the target-element sets the embeddings
+        require — keys the session's filter cache: queries with equal
+        signatures have, by construction of
+        :func:`~repro.query.ptq.filter_mappings`, the same relevant mappings.
+        """
+        resolved = self._resolved
+        if resolved is None:  # read without the lock: set once, never changed
+            with self._memo_lock:
+                if self._resolved is None:
+                    embeddings = resolve_query(self._query, self._dataspace.target_schema)
+                    signature = frozenset(frozenset(e.values()) for e in embeddings)
+                    self._resolved = (
+                        embeddings, signature, embeddings_target_mask(embeddings)
+                    )
+                    self.resolve_count += 1
+                resolved = self._resolved
+        return resolved
+
     @property
     def embeddings(self) -> list[Embedding]:
         """Embeddings of the query into the target schema (resolved once)."""
-        with self._memo_lock:
-            if self._embeddings is None:
-                self._embeddings = resolve_query(self._query, self._dataspace.target_schema)
-                self.resolve_count += 1
-            return self._embeddings
-
-    def relevant_mappings(
-        self, snapshot: Optional["EngineSnapshot"] = None
-    ) -> MappingSubset:
-        """Relevant mappings (with their bitmask), refreshed once per mapping-set state.
-
-        The memo key is ``(generation, delta_epoch)``: a full invalidation
-        *and* an applied delta both refresh the filter step.  Delegates the
-        actual filtering to
-        :meth:`~repro.engine.dataspace.Dataspace.relevant_for`, which shares
-        the work across queries requiring the same target elements.
-        """
-        ds = self._dataspace
-        snap = snapshot if snapshot is not None else ds.snapshot(need_tree=False)
-        state = (snap.generation, snap.delta_epoch)
-        with self._memo_lock:
-            relevant = self._relevant_by_generation.get(state)
-        if relevant is not None:
-            return relevant
-        relevant = ds.relevant_for(self.embeddings, snap)
-        with self._memo_lock:
-            if state not in self._relevant_by_generation:
-                self._relevant_by_generation[state] = relevant
-                self.filter_count += 1
-                while len(self._relevant_by_generation) > _MAX_GENERATION_MEMOS:
-                    self._relevant_by_generation.popitem(last=False)
-            relevant = self._relevant_by_generation[state]
-        return relevant
+        return self._resolve()[0]
 
     def required_target_mask(self) -> int:
         """Bitmask of every target element the query's embeddings require.
 
         The query side of the delta retention check (see
-        :meth:`~repro.engine.cache.ResultCache.retain`); computed once per
+        :meth:`~repro.engine.cache.ResultCache.lookup`); computed once per
         prepared query from the resolved embeddings.
         """
-        with self._memo_lock:
-            if self._target_mask is not None:
-                return self._target_mask
-        mask = embeddings_target_mask(self.embeddings)
-        with self._memo_lock:
-            if self._target_mask is None:
-                self._target_mask = mask
-            return self._target_mask
+        return self._resolve()[2]
+
+    def relevant_mappings(
+        self, snapshot: Optional["EngineSnapshot"] = None
+    ) -> MappingSubset:
+        """Relevant mappings (with their bitmask) at ``snapshot``'s state.
+
+        Served by :meth:`~repro.engine.dataspace.Dataspace.relevant_for`,
+        which memoises the filter step in the session's filter cache per
+        ``(generation, signature, delta_epoch)``.
+        """
+        return self._dataspace.relevant_for(self, snapshot)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -264,27 +245,36 @@ class PreparedQuery:
             Consult/populate the session's result cache (default ``True``).
             Cached results are shared objects — treat them as read-only.
         """
-        ds = self._dataspace
         chosen, _, snap = self._plan_and_snapshot(plan, snapshot, k, False)
+        result, _ = self._evaluate(chosen, snap, k, self.relevant_mappings(snap), use_cache)
+        return result
+
+    def _evaluate(
+        self,
+        chosen: QueryPlan,
+        snap: "EngineSnapshot",
+        k: Optional[int],
+        relevant: MappingSubset,
+        use_cache: bool,
+    ) -> tuple[PTQResult, str]:
+        """The one evaluation step of ``execute()`` and ``explain()``.
+
+        Looks the result up (retain-on-miss: after an applied delta, an
+        entry written at an earlier ``delta_epoch`` survives when the delta
+        provably did not touch this query's relevant mappings or required
+        target elements), runs ``chosen`` on a miss, tells the planner which
+        of the two happened and caches what ran.  Returns the result and the
+        cache state: ``"hit"``, ``"retained"``, ``"miss"`` or ``"bypass"``.
+        """
+        ds = self._dataspace
         cache = ds.result_cache if use_cache else None
-        key: Optional[CacheKey] = None
-        relevant = self.relevant_mappings(snap)
+        state = "bypass"
         if cache is not None:
             key = self._result_key(chosen, k, snap)
-            cached = cache.get(key)
-            if cached is None:
-                # Retain-on-miss: after an applied delta, an entry written at
-                # an earlier delta_epoch survives when the delta provably did
-                # not touch this query's relevant mappings or required
-                # target elements (one bitwise AND each).
-                cached = cache.retain(
-                    key,
-                    relevant.mask,
-                    self.required_target_mask(),
-                )
+            cached, state = cache.lookup(key, relevant.mask, self.required_target_mask())
             if cached is not None:
                 ds.planner.observe_cache_hit(self._cache_key)
-                return cached
+                return cached, state
         started = time.perf_counter()
         result = chosen.run(
             self._query,
@@ -305,7 +295,7 @@ class PreparedQuery:
         )
         if cache is not None:
             result = cache.put(key, result)
-        return result
+        return result, state
 
     def explain(
         self,
@@ -345,48 +335,9 @@ class PreparedQuery:
         timings["filter"] = (time.perf_counter() - started) * 1000.0
 
         block_tree = snap.block_tree if chosen.uses_block_tree else None
-        cache = ds.result_cache if use_cache else None
-        key = self._result_key(chosen, k, snap)
-
         started = time.perf_counter()
-        cache_state = "bypass"
-        result: Optional[PTQResult] = None
-        if cache is not None:
-            result = cache.get(key)
-            cache_state = "hit" if result is not None else "miss"
-            if result is None:
-                result = cache.retain(
-                    key,
-                    relevant.mask,
-                    self.required_target_mask(),
-                )
-                if result is not None:
-                    cache_state = "retained"
-        evaluated = result is None
-        if result is None:
-            result = chosen.run(
-                self._query,
-                mapping_set,
-                snap.document,
-                block_tree=block_tree,
-                embeddings=embeddings,
-                relevant=relevant,
-                k=k,
-            )
-            if cache is not None:
-                result = cache.put(key, result)
+        result, cache_state = self._evaluate(chosen, snap, k, relevant, use_cache)
         timings["evaluate"] = (time.perf_counter() - started) * 1000.0
-        if evaluated:
-            ds.planner.observe_execution(
-                self._cache_key,
-                chosen.name,
-                timings["evaluate"],
-                state=(snap.generation, snap.delta_epoch),
-                num_relevant=len(relevant),
-                num_embeddings=len(embeddings),
-            )
-        else:
-            ds.planner.observe_cache_hit(self._cache_key)
 
         num_selected = len(relevant) if k is None else min(k, len(relevant))
         anchored = (

@@ -16,7 +16,7 @@ module turns ``apply_delta`` into a production write path with two pieces:
   which is what lets the session route its single-delta path through here.
 
 * :class:`SubscriptionRegistry` inverts the cache-retention machinery: where
-  :meth:`~repro.engine.cache.ResultCache.retain` proves which cached results
+  :meth:`~repro.engine.cache.ResultCache.lookup` proves which cached results
   a delta *cannot* touch, the registry proves which standing queries it
   *must* notify.  A subscription registers a PTQ/top-k once (keyed by the
   planner's canonical query text, so equivalent spellings share one standing

@@ -239,7 +239,7 @@ class QueryService:
         request submitted afterwards sees the new ``delta_epoch`` — the
         single-flight key includes it, so post-delta submits never join a
         pre-delta flight.  Cached results the delta provably did not touch
-        keep serving (see :meth:`repro.engine.cache.ResultCache.retain`).
+        keep serving (see :meth:`repro.engine.cache.ResultCache.lookup`).
 
         Returns the session's :class:`~repro.engine.delta.DeltaReport`.
 

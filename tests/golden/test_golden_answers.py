@@ -90,7 +90,10 @@ def test_golden_answers(dataset_id, kernels, update_golden):
     # The service path below runs the engine's default plan — the compiled
     # bitset core — so these snapshots pin the compiled plan byte-exactly
     # against answers generated from the seed free functions.
-    assert session.select_plan()[0].name == "compiled"
+    assert all(
+        session.plan_decision(session.prepare(query)).plan_name == "compiled"
+        for query in queries
+    )
 
     if update_golden:
         # Regenerate from the *seed free functions* — the reference the

@@ -21,6 +21,7 @@ executions stay fast.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -72,10 +73,19 @@ class TestConcurrentReaders:
         for query, answers in observed:
             by_query.setdefault(query, set()).add(answers)
         assert all(len(distinct) == 1 for distinct in by_query.values())
+        # One filter pass per signature (one filter-cache entry each), up to
+        # the threads that raced on the first miss (first-writer-wins put:
+        # every thread then shares the one stored subset), and none once the
+        # entries are in.
+        filter_cache = session.cache_stats()["filter_cache"]
+        assert 1 <= filter_cache["size"] <= len(QUERIES)
+        assert filter_cache["misses"] <= 8 * filter_cache["size"]
+        assert filter_cache["retained"] == 0
         for query in QUERIES:
             prepared = session.prepare(query)
             assert prepared.resolve_count == 1
-            assert prepared.filter_count == 1
+            assert prepared.relevant_mappings() is prepared.relevant_mappings()
+        assert session.cache_stats()["filter_cache"]["misses"] == filter_cache["misses"]
 
     def test_concurrent_first_build_is_consistent(self, source_schema, target_schema):
         """Racing threads on a cold session must agree on the built artifacts."""
@@ -184,12 +194,14 @@ class TestConfigureInterleaving:
         writer = threading.Thread(target=reconfigure)
         writer.start()
         try:
-            for _ in range(20):
-                results = session.query_batch(list(QUERIES) * 2, max_workers=4)
-                # Duplicate queries inside one batch share one snapshot, so
-                # their answers must be identical objects or at least equal.
-                for left, right in zip(results[:3], results[3:]):
-                    assert canonical(left) == canonical(right)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(20):
+                    results = session.query_batch(list(QUERIES) * 2, executor=pool)
+                    # Duplicate queries inside one batch share one snapshot,
+                    # so their answers must be identical objects or at least
+                    # equal.
+                    for left, right in zip(results[:3], results[3:]):
+                        assert canonical(left) == canonical(right)
         finally:
             stop.set()
             writer.join(timeout=60)

@@ -62,7 +62,7 @@ class TestEngineMatchesSeedPipeline:
         self, d7_session, d7_mappings, d7_document, d7_block_tree
     ):
         query_ids = ["Q1", "Q2", "Q3"]
-        batch = d7_session.batch(query_ids)
+        batch = d7_session.query_batch(query_ids)
         for query_id, engine in zip(query_ids, batch):
             seed = evaluate_ptq_blocktree(
                 load_query(query_id), d7_mappings, d7_document, d7_block_tree

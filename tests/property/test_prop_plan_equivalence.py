@@ -11,6 +11,8 @@ that lets future perf PRs refactor hot paths without changing answers.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,7 +161,8 @@ class TestBatchAndServiceEquivalence:
             session.execute(query, use_cache=False) for _ in range(3)
         ]
         sequential = session.query_batch([query, query, query], use_cache=False)
-        pooled = session.query_batch([query, query, query], max_workers=3)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pooled = session.query_batch([query, query, query], executor=pool)
         compiled_batch = session.query_batch(
             [query, query, query], plan="compiled", use_cache=False
         )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.engine import CacheKey, Dataspace, ResultCache
+from repro.engine import CacheKey, Dataspace, ResultCache, plan_for
 
 
 def make_key(**overrides):
@@ -77,7 +77,7 @@ class TestCacheKeyInCache:
         session = Dataspace.from_mapping_set(figure_mappings, document=figure_document)
         prepared = session.prepare("//CONTACT_NAME")
         snapshot = session.snapshot(need_tree=False)
-        plan, _ = session.select_plan()
+        plan = plan_for(session.plan_decision(prepared).plan_name)
         key = prepared._result_key(plan, 3, snapshot)
         assert isinstance(key, CacheKey)
         assert key.scope == "session"

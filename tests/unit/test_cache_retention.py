@@ -1,10 +1,10 @@
-"""ResultCache delta-retention semantics (CacheKey.delta_epoch + retain()).
+"""ResultCache delta-retention semantics (CacheKey.delta_epoch + lookup()).
 
 Three behaviours are pinned here, straight from the issue's contract:
 
 * entries whose guard masks do **not** intersect a delta's dirty masks
-  survive the epoch boundary (promoted on the first post-delta miss);
-* entries whose guards **do** intersect die (the retain check refuses);
+  survive the epoch boundary (promoted by the first post-delta lookup);
+* entries whose guards **do** intersect die (the lookup misses);
 * entries never cross a ``delta_epoch`` boundary after a full
   ``invalidate()`` — a generation bump makes every older entry unreachable
   no matter how clean the delta log looks.
@@ -37,14 +37,26 @@ class TestRetainPrimitive:
         cache.put(key_at(0), "value")
         cache.record_delta(1, probability_mask=0b1000, target_mask=1 << 5)
         # Entry depends on mappings {0,1} and targets {2}: disjoint from the dirt.
-        assert cache.retain(key_at(1), 0b0011, 1 << 2) == "value"
+        assert cache.lookup(key_at(1), 0b0011, 1 << 2) == ("value", "retained")
         assert cache.stats().retained == 1
+
+    def test_retained_serve_counts_one_miss_and_one_retained(self):
+        cache = ResultCache(8)
+        cache.put(key_at(0), "value")
+        cache.record_delta(1, 0b1000, 0)
+        assert cache.lookup(key_at(1), 0b0011, 0) == ("value", "retained")
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.retained) == (0, 1, 1)
+        # The promoted entry is a plain hit from now on.
+        assert cache.lookup(key_at(1), 0b0011, 0) == ("value", "hit")
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.retained) == (1, 1, 1)
 
     def test_promotion_rekeys_the_entry(self):
         cache = ResultCache(8)
         cache.put(key_at(0), "value")
         cache.record_delta(1, 0b1000, 0)
-        assert cache.retain(key_at(1), 0b0011, 0) == "value"
+        assert cache.lookup(key_at(1), 0b0011, 0) == ("value", "retained")
         assert cache.peek(key_at(0)) is None  # old key removed
         assert cache.get(key_at(1)) == "value"  # plain hit from now on
 
@@ -52,7 +64,7 @@ class TestRetainPrimitive:
         cache = ResultCache(8)
         cache.put(key_at(0), "value")
         cache.record_delta(1, probability_mask=0b0010, target_mask=0)
-        assert cache.retain(key_at(1), 0b0011, 0) is None
+        assert cache.lookup(key_at(1), 0b0011, 0) == (None, "miss")
         assert cache.peek(key_at(0)) == "value"  # not promoted, still at old epoch
 
     def test_intersecting_target_mask_dies(self):
@@ -61,7 +73,7 @@ class TestRetainPrimitive:
         cache.record_delta(1, probability_mask=0, target_mask=1 << 4)
         # Probability dirt is empty, but the delta edited a target element
         # the query requires — relevance or rewrites could have changed.
-        assert cache.retain(key_at(1), 0b0011, (1 << 4) | (1 << 9)) is None
+        assert cache.lookup(key_at(1), 0b0011, (1 << 4) | (1 << 9)) == (None, "miss")
 
     def test_probability_insensitive_skips_the_mapping_check(self):
         cache = ResultCache(8)
@@ -69,31 +81,26 @@ class TestRetainPrimitive:
         # A pure reweight: probability-dirty, structurally clean.
         cache.record_delta(1, probability_mask=0b0011, target_mask=0)
         key = key_at(1, scope="shard", shard=0, shards=4)
-        assert cache.retain(key, 0b0011, 0) is None  # probability-sensitive: dies
+        # Probability-sensitive: dies.
+        assert cache.lookup(key, 0b0011, 0) == (None, "miss")
         cache.put(key_at(0, scope="shard", shard=1, shards=4), "partial-1")
-        assert (
-            cache.retain(
-                key_at(1, scope="shard", shard=1, shards=4),
-                0b0011,
-                0,
-                probability_sensitive=False,
-            )
-            == "partial-1"
-        )
+        assert cache.lookup(
+            key_at(1, scope="shard", shard=1, shards=4),
+            0b0011,
+            0,
+            probability_sensitive=False,
+        ) == ("partial-1", "retained")
 
     def test_insensitive_still_dies_on_target_dirt(self):
         cache = ResultCache(8)
         cache.put(key_at(0, scope="shard", shard=0, shards=4), "partial")
         cache.record_delta(1, probability_mask=0, target_mask=1 << 3)
-        assert (
-            cache.retain(
-                key_at(1, scope="shard", shard=0, shards=4),
-                0,
-                1 << 3,
-                probability_sensitive=False,
-            )
-            is None
-        )
+        assert cache.lookup(
+            key_at(1, scope="shard", shard=0, shards=4),
+            0,
+            1 << 3,
+            probability_sensitive=False,
+        ) == (None, "miss")
 
     def test_multi_epoch_walk_accumulates_dirt(self):
         cache = ResultCache(8)
@@ -102,7 +109,7 @@ class TestRetainPrimitive:
         cache.record_delta(2, 0b1000, 0)
         cache.record_delta(3, 0b10000, 0)
         # Three clean transitions: the epoch-0 entry survives to epoch 3.
-        assert cache.retain(key_at(3), 0b0011, 0) == "value"
+        assert cache.lookup(key_at(3), 0b0011, 0) == ("value", "retained")
 
     def test_multi_epoch_walk_stops_on_dirty_transition(self):
         cache = ResultCache(8)
@@ -110,24 +117,27 @@ class TestRetainPrimitive:
         cache.record_delta(1, 0b0100, 0)
         cache.record_delta(2, 0b0001, 0)  # touches mapping 0
         cache.record_delta(3, 0b1000, 0)
-        assert cache.retain(key_at(3), 0b0011, 0) is None
+        assert cache.lookup(key_at(3), 0b0011, 0) == (None, "miss")
 
     def test_unknown_transition_is_conservative(self):
         cache = ResultCache(8)
         cache.put(key_at(0), "value")
         # No record_delta call for epoch 1: nothing can be proven.
-        assert cache.retain(key_at(1), 0, 0) is None
+        assert cache.lookup(key_at(1), 0, 0) == (None, "miss")
 
     def test_disabled_cache_never_retains(self):
         cache = ResultCache(0)
         cache.record_delta(1, 0, 0)
-        assert cache.retain(key_at(1), 0, 0) is None
+        assert cache.lookup(key_at(1), 0, 0) == (None, "miss")
+        assert cache.stats().misses == 1
 
     def test_epoch_zero_or_non_int_never_retains(self):
         cache = ResultCache(8)
         cache.put(key_at(0), "value")
-        assert cache.retain(key_at(0), 0, 0) is None
-        assert cache.retain(key_at(None), 0, 0) is None
+        assert cache.lookup(key_at(0), 0, 0) == ("value", "hit")
+        assert cache.lookup(key_at(0, plan="basic"), 0, 0) == (None, "miss")
+        assert cache.lookup(key_at(None), 0, 0) == (None, "miss")
+        assert cache.stats().retained == 0
 
     def test_clear_drops_the_delta_log(self):
         cache = ResultCache(8)
@@ -135,7 +145,7 @@ class TestRetainPrimitive:
         cache.put(key_at(0), "value")
         cache.clear()
         cache.put(key_at(0), "value")
-        assert cache.retain(key_at(1), 0, 0) is None
+        assert cache.lookup(key_at(1), 0, 0) == (None, "miss")
 
 
 class TestEngineRetention:

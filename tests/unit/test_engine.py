@@ -9,8 +9,10 @@ from repro.engine import (
     BlockTreePlan,
     CompiledPlan,
     Dataspace,
+    MappingDelta,
     PreparedQuery,
     QueryBuilder,
+    QueryPlan,
     available_plans,
     plan_for,
 )
@@ -25,10 +27,17 @@ from repro.query.topk import evaluate_topk_ptq
 from repro.schema.parser import parse_schema
 
 ICN_QUERY = "//INVOICE_PARTY//CONTACT_NAME"
+SCN_QUERY = "ORDER/SUPPLIER_PARTY"
 
 
 def answers_of(result):
     return {(answer.mapping_id, answer.matches) for answer in result}
+
+
+def filter_passes(session):
+    """(misses, retained) of the session filter cache: one miss per filter pass."""
+    stats = session.cache_stats()["filter_cache"]
+    return stats["misses"], stats["retained"]
 
 
 @pytest.fixture()
@@ -186,7 +195,7 @@ class TestPreparedQueries:
         prepared.execute(k=2)
         prepared.execute(plan="basic")
         assert prepared.resolve_count == 1
-        assert prepared.filter_count == 1
+        assert filter_passes(figure_dataspace) == (1, 0)
 
     def test_filter_refreshes_after_generation_bump(self, figure_dataspace):
         prepared = figure_dataspace.prepare(ICN_QUERY)
@@ -194,7 +203,7 @@ class TestPreparedQueries:
         figure_dataspace.invalidate()
         after = prepared.execute()
         assert prepared.resolve_count == 1  # target schema unchanged
-        assert prepared.filter_count == 2
+        assert filter_passes(figure_dataspace) == (2, 0)
         assert answers_of(before) == answers_of(after)
 
     def test_block_tree_rebuild_does_not_refilter(self, figure_dataspace):
@@ -202,7 +211,45 @@ class TestPreparedQueries:
         prepared.execute()
         figure_dataspace.configure(tau=0.9)
         prepared.execute()
-        assert prepared.filter_count == 1
+        assert filter_passes(figure_dataspace) == (1, 0)
+
+    def test_explain_and_execute_share_one_evaluation(self, figure_dataspace, monkeypatch):
+        runs = []
+        original = QueryPlan.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(self.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(QueryPlan, "run", counting_run)
+        ds = figure_dataspace
+        ds.execute(ICN_QUERY)
+        assert ds.explain(ICN_QUERY).cache == "hit"  # explain after execute
+        assert ds.explain(SCN_QUERY).cache == "miss"
+        hits = ds.result_cache.stats().hits
+        ds.execute(SCN_QUERY)  # execute after explain
+        assert ds.result_cache.stats().hits == hits + 1
+        assert runs == ["compiled", "compiled"]  # one run per query across both
+
+    def test_explain_reports_retained_after_missing_reweight(
+        self, figure_dataspace, figure_mappings
+    ):
+        # explain() writes the entry here; relevant: mapping 2 only.
+        assert figure_dataspace.explain(SCN_QUERY).cache == "miss"
+        figure_dataspace.apply_delta(
+            MappingDelta.build(
+                reweight={
+                    0: figure_mappings[3].probability,
+                    3: figure_mappings[0].probability,
+                }
+            )
+        )
+        report = figure_dataspace.explain(SCN_QUERY)
+        assert report.cache == "retained"
+        assert report.cache_stats["retained"] == 1
+        hits = figure_dataspace.result_cache.stats().hits
+        figure_dataspace.execute(SCN_QUERY)  # the promoted entry serves execute()
+        assert figure_dataspace.result_cache.stats().hits == hits + 1
 
 
 # --------------------------------------------------------------------------- #
@@ -232,9 +279,9 @@ class TestPlans:
             assert name in message
 
     def test_default_selection_is_compiled(self, figure_dataspace):
-        plan, reason = figure_dataspace.select_plan()
-        assert plan.name == "compiled"
-        assert "compiled" in reason
+        decision = figure_dataspace.plan_decision(figure_dataspace.prepare(ICN_QUERY))
+        assert decision.plan_name == "compiled"
+        assert "compiled" in decision.reason
         # Automatic selection no longer forces a block-tree build.
         assert not figure_dataspace.describe()["block_tree_built"]
 
@@ -263,8 +310,7 @@ class TestPlans:
         )
         ds = Dataspace.from_mapping_set(mappings, tau=1.0)
         assert ds.block_tree.num_blocks == 0
-        plan, _ = ds.select_plan()
-        assert plan.name == "compiled"
+        assert ds.plan_decision(ds.prepare("//Y")).plan_name == "compiled"
         auto = ds.execute("//Y", use_cache=False)
         basic = ds.execute("//Y", plan="basic", use_cache=False)
         assert answers_of(auto) == answers_of(basic)
@@ -320,16 +366,16 @@ class TestBuilderAndExecution:
 
     def test_batch_matches_individual_execution(self, figure_dataspace):
         queries = [ICN_QUERY, "//SUPPLIER_PARTY//CONTACT_NAME", "ORDER"]
-        batch = figure_dataspace.batch(queries, k=3)
+        batch = figure_dataspace.query_batch(queries, k=3)
         assert len(batch) == 3
         for query, result in zip(queries, batch):
             assert answers_of(result) == answers_of(figure_dataspace.execute(query, k=3))
 
     def test_batch_reuses_prepared_queries(self, figure_dataspace):
-        figure_dataspace.batch([ICN_QUERY, ICN_QUERY])
+        figure_dataspace.query_batch([ICN_QUERY, ICN_QUERY])
         prepared = figure_dataspace.prepare(ICN_QUERY)
         assert prepared.resolve_count == 1
-        assert prepared.filter_count == 1
+        assert filter_passes(figure_dataspace) == (1, 0)
 
     def test_explain_counts_answers(self, figure_dataspace):
         report = figure_dataspace.query(ICN_QUERY).explain()

@@ -9,6 +9,8 @@ statistics through the artifact store, and ``explain(analyze=True)``).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.engine import Dataspace
@@ -367,6 +369,12 @@ class TestEngineIntegration:
             assert [
                 (a.mapping_id, a.matches, a.probability.hex()) for a in fixed
             ] == [(a.mapping_id, a.matches, a.probability.hex()) for a in routed]
+        # The unregistered record is dropped on adoption: it neither shows in
+        # explain's statistics snapshot nor gets persisted again.
+        assert set(decisions[2]["statistics"]["plans"]) == {"basic", "compiled"}
+        persisted = figure_session.planner.statistics_payload()
+        assert "scatter:4" not in json.dumps(persisted)
+        assert all(set(row["plans"]) <= set(available_plans()) for row in persisted["queries"])
 
     def test_explain_reports_planner_decision(self, figure_session):
         report = figure_session.explain(ICN_QUERY)

@@ -303,3 +303,40 @@ class TestMarkdownLinkCheck:
 
     def test_main_missing_root(self, tmp_path):
         assert check_markdown_links.main(["--root", str(tmp_path / "no")]) == 2
+
+
+# --------------------------------------------------------------------------- #
+# perfbench's traced entry points
+# --------------------------------------------------------------------------- #
+PERFBENCH = SCRIPTS.parent / "perfbench"
+
+
+def test_perfbench_trace_targets_resolve(monkeypatch):
+    """Every traced name resolves the way ``tracing.install`` resolves it.
+
+    A rename in ``src/`` would otherwise surface only in traced benchmark
+    runs.  ``layers.py`` imports its sibling modules by bare name, so
+    ``perfbench/`` is on ``sys.path`` for this test only, and the modules it
+    loads are dropped again afterwards.
+    """
+    import importlib
+    import inspect
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    siblings = ("layers", "measure", "tracing")
+    for name in siblings:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        layers = importlib.import_module("layers")
+        targets = layers.ENGINE_TARGETS + layers.SERVER_TARGETS + layers.CLIENT_TARGETS
+    finally:
+        for name in siblings:
+            sys.modules.pop(name, None)
+    assert targets
+    for target in targets:
+        owner = importlib.import_module(target.module)
+        *path, attr = target.attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        raw = inspect.getattr_static(owner, attr)
+        assert callable(getattr(raw, "__func__", raw)), target.name
