@@ -67,35 +67,25 @@ def best_of(rounds: int, func, *args, **kwargs) -> tuple[float, object]:
     return best, result
 
 
-def paired_rounds(rounds: int, first, second) -> list[tuple[float, float]]:
-    """Elapsed seconds of ``first`` and of ``second`` per round, alternating.
+def paired_rounds(
+    rounds: int, first, second, passes: int = 1
+) -> list[tuple[float, float]]:
+    """Per-round total seconds of ``passes`` runs each of ``first`` and ``second``.
 
     For gates that compare two code paths.  Timing all rounds of one path and
     then all rounds of the other lets a change in the host's speed between the
     two phases show up as a difference between the paths; alternating them
-    exposes both to the same conditions.
-    """
-    return [
-        (time_query(first)[0], time_query(second)[0]) for _ in range(max(1, rounds))
-    ]
-
-
-def interleaved_rounds(
-    rounds: int, passes: int, first, second
-) -> list[tuple[float, float]]:
-    """Per-round total seconds of ``passes`` runs each of ``first`` and ``second``.
-
-    Like :func:`paired_rounds`, but the two paths alternate pass by pass
-    inside every round, and which one goes first alternates too.  For paths
-    whose single pass takes about a millisecond: the host's speed spells
-    last longer than that, so each spell lands on both sides alike instead
-    of deciding a whole round of one side.
+    exposes both to the same conditions.  With ``passes`` above one the two
+    paths also alternate pass by pass inside every round, and which one goes
+    first alternates too: for paths whose single pass takes about a
+    millisecond, the host's speed spells last longer than that, so each spell
+    lands on both sides alike instead of deciding a whole round of one side.
     """
     clock = time.perf_counter
     totals = []
     for _ in range(max(1, rounds)):
         first_total = second_total = 0.0
-        for index in range(passes):
+        for index in range(max(1, passes)):
             swap = index % 2
             started = clock()
             (second if swap else first)()

@@ -20,9 +20,9 @@ process so machine speed cancels out:
   plan — with byte-identical answers, asserted before timing.
 
 Both sides of each ratio are timed in alternating rounds
-(:func:`~_workloads.paired_rounds`); the never-slower gate alternates them
-pass by pass inside each round (:func:`~_workloads.interleaved_rounds`) and
-reads the median of the per-round ratios.  The measured ratios and their
+(:func:`~_workloads.paired_rounds`); the never-slower gate also alternates
+them pass by pass inside each round and reads the median of the per-round
+ratios.  The measured ratios and their
 per-round spreads land in ``extra_info`` and therefore in the CI
 ``BENCH_<run>.json`` trajectory artifact.
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from repro.engine import Dataspace
 
-from _workloads import interleaved_rounds, paired_rounds, ratio_spread
+from _workloads import paired_rounds, ratio_spread
 from test_bench_corpus_scatter import (
     QUERIES as CATALOGUE_QUERIES,
     build_workload as build_catalogue,
@@ -94,7 +94,7 @@ def test_planner_never_slower_than_fixed(benchmark, experiment_report):
         # filter cache; the first routed pass then feeds the planner its
         # first measurements — exactly the serving-traffic sequence the
         # conservative model is designed for.
-        pairs = interleaved_rounds(ROUNDS, SWEEP_REPEATS, fixed_pass, routed_pass)
+        pairs = paired_rounds(ROUNDS, fixed_pass, routed_pass, passes=SWEEP_REPEATS)
         spread = ratio_spread([(routed, fixed) for fixed, routed in pairs])
         ratios[dataset_id] = spread["median"]
         spreads[dataset_id] = spread

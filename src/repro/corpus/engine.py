@@ -66,6 +66,7 @@ from repro.query.results import CanonicalMatch, PTQAnswer, PTQResult
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.prepared import PreparedQuery
     from repro.mapping.mapping import Mapping
+    from repro.mapping.mapping_set import MappingSubset
     from repro.query.resolve import Embedding
 
 __all__ = [
@@ -328,7 +329,9 @@ class CorpusExecution:
 class _Gather:
     """Mutable per-call working state of one scatter-gather execution."""
 
-    __slots__ = ("entry_index", "prepared", "state", "embeddings", "selected", "skipped")
+    __slots__ = (
+        "entry_index", "prepared", "state", "embeddings", "selected", "skipped", "_relevant",
+    )
 
     def __init__(self, entry_index: int, prepared: "PreparedQuery", state: _SessionState):
         self.entry_index = entry_index
@@ -337,10 +340,24 @@ class _Gather:
         self.embeddings: list["Embedding"] = prepared.embeddings
         self.selected: list["Mapping"] = []
         self.skipped = False  # skipped by probability bound
+        self._relevant: Optional["MappingSubset"] = None
+
+    def relevant_mappings(self) -> "MappingSubset":
+        """This query's relevant mappings, filtered once per gather.
+
+        The merged-result lookup, candidate selection and every shard and
+        spine partial read this one subset, so a sharded execution makes one
+        filter-cache request per session (one ``filter_mappings`` pass when
+        the session caches nothing).  Selection fills it before shard tasks
+        fan out, so worker threads only read it.
+        """
+        if self._relevant is None:
+            self._relevant = self.prepared.relevant_mappings(snapshot=self.state.snapshot)
+        return self._relevant
 
     def relevant_mask(self) -> int:
-        """Bitmask of this query's relevant mappings (memoized upstream)."""
-        return self.prepared.relevant_mappings(snapshot=self.state.snapshot).mask
+        """Bitmask of this query's relevant mappings."""
+        return self.relevant_mappings().mask
 
 
 # --------------------------------------------------------------------------- #
@@ -1007,7 +1024,7 @@ class ShardedCorpus:
             ):
                 g.skipped = True
                 continue
-            relevant = g.prepared.relevant_mappings(snapshot=g.state.snapshot)
+            relevant = g.relevant_mappings()
             if k is None:
                 g.selected = relevant
                 continue

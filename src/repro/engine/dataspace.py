@@ -255,7 +255,9 @@ class Dataspace:
         self._lock = ReadWriteLock()
         self._result_cache = ResultCache(cache_size)
         # cache_size=0 disables *all* caching, including filter sharing.
-        self._filter_cache = ResultCache(0 if cache_size == 0 else 64)
+        # Otherwise the filter cache holds one signature per prepared query
+        # the session can keep, so no prepared query refilters while hot.
+        self._filter_cache = ResultCache(0 if cache_size == 0 else _PREPARED_CACHE_CAPACITY)
         self._cache_size = cache_size
         # Persistence state: the attached artifact store (None until a store
         # is attached via from_dataset(store=...) / from_store / persist),
@@ -1488,10 +1490,12 @@ class Dataspace:
         for item in prepared:
             unique.setdefault(id(item), item)
         items = list(unique.values())
-        # Warm the shared resolve + filter prefix before fanning out, so
-        # concurrent workers hit the filter cache instead of racing on it.
-        for item in items:
-            item.relevant_mappings(snapshot=snap)
+        fan_out = executor is not None and len(items) > 1
+        if fan_out and self._filter_cache.enabled:
+            # Warm the shared filter prefix before fanning out, so concurrent
+            # workers hit the filter cache instead of racing on it.
+            for item in items:
+                item.relevant_mappings(snapshot=snap)
 
         def run_one(item: PreparedQuery) -> tuple[PTQResult, float]:
             started = time.perf_counter()
@@ -1499,7 +1503,7 @@ class Dataspace:
             return result, (time.perf_counter() - started) * 1000.0
 
         results: dict[int, tuple[PTQResult, float]]
-        if executor is not None and len(items) > 1:
+        if fan_out:
             futures = [(id(item), executor.submit(run_one, item)) for item in items]
             results = {key: future.result() for key, future in futures}
         else:

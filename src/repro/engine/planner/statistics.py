@@ -165,9 +165,11 @@ class QueryStatistics:
             distinct_rewrites=payload.get("distinct_rewrites"),
             state=(int(state[0]), int(state[1])) if state else None,
         )
-        # Records of unregistered plans (e.g. ``scatter:<n>`` from before
-        # the scatter route was deleted) are dropped: the cost model never
-        # reads them, and keeping them would re-persist them forever.
+        # Records of plans not registered at adoption (e.g. ``scatter:<n>``
+        # from before the scatter route was deleted) are dropped: the cost
+        # model never reads them, and keeping them would re-persist them
+        # forever.  A plugin plan must therefore be registered before a
+        # session adopts persisted statistics, or its latencies re-learn.
         registered = available_plans()
         for name, latency in payload.get("plans", {}).items():
             if name in registered:
@@ -321,6 +323,8 @@ class StatisticsCollector:
         Unknown formats are ignored (a session reopened by older code keeps
         working, it just re-learns).  Adopted records *replace* same-key
         records — the persisted state is the most recent complete view.
+        Latencies of plans that are not registered at this point are
+        dropped (see :func:`~repro.engine.plans.register_plan`).
         """
         if not payload or payload.get("format") != STATS_FORMAT:
             return 0

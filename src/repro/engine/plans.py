@@ -219,7 +219,11 @@ def _normalize(name: str) -> str:
 
 
 def register_plan(plan: QueryPlan) -> QueryPlan:
-    """Register ``plan`` under its (normalised) :attr:`~QueryPlan.name`."""
+    """Register ``plan`` under its (normalised) :attr:`~QueryPlan.name`.
+
+    Register before opening sessions from a store: adopting persisted
+    planner statistics keeps latency records of registered plans only.
+    """
     _PLAN_REGISTRY[_normalize(plan.name)] = plan
     return plan
 

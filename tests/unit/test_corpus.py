@@ -157,6 +157,24 @@ class TestCorpusCaching:
         assert corpus.gather(QUERIES[0], use_cache=False).cache == "bypass"
         assert corpus.gather(QUERIES[0], use_cache=False).cache == "bypass"
 
+    def test_one_filter_pass_per_sharded_execute(self, figure_mappings, figure_document):
+        # With caching off every filter-cache request is a full filter pass:
+        # the merged lookup, selection and every shard and spine partial of
+        # one execution must share a single one.
+        session = Dataspace.from_mapping_set(
+            figure_mappings, document=figure_document, name="figure", cache_size=0
+        )
+        corpus = session.shard(3)
+        fan_outs = []
+        for query in (QUERIES[0], QUERIES[4]):
+            for k in (None, 2):
+                before = session.cache_stats()["filter_cache"]["misses"]
+                execution = corpus.gather(query, k=k)
+                after = session.cache_stats()["filter_cache"]["misses"]
+                assert after - before == 1, (query, k)
+                fan_outs.append(execution.fan_out + execution.spine_rewrites)
+        assert max(fan_outs) >= 2
+
 
 class TestExplainReport:
     def test_fan_out_and_skips_accounted(self):

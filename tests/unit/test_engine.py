@@ -197,6 +197,26 @@ class TestPreparedQueries:
         assert prepared.resolve_count == 1
         assert filter_passes(figure_dataspace) == (1, 0)
 
+    def test_every_kept_prepared_query_keeps_its_filter_entry(
+        self, d7_dataset, d7_mappings, d7_document
+    ):
+        # The filter cache is the filter step's only memo: it must hold one
+        # signature per prepared query the session keeps, so a working set
+        # of more than 64 distinct signatures (the old fixed capacity, which
+        # a cyclic sweep thrashed into 0 hits) refilters nothing once warm.
+        session = Dataspace.from_mapping_set(d7_mappings, document=d7_document, name="d7")
+        labels = sorted({element.label for element in d7_dataset.target_schema.iter_preorder()})
+        queries = [f"//{label}" for label in labels]
+        for query in queries:
+            session.query(query).execute()
+        warm = session.cache_stats()["filter_cache"]
+        assert warm["size"] > 64
+        for query in queries:
+            session.query(query).execute()
+        after = session.cache_stats()["filter_cache"]
+        assert after["misses"] == warm["misses"]
+        assert after["hits"] - warm["hits"] == len(queries)
+
     def test_filter_refreshes_after_generation_bump(self, figure_dataspace):
         prepared = figure_dataspace.prepare(ICN_QUERY)
         before = prepared.execute()

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.engine import Dataspace
+from repro.engine import plans as plans_module
 from repro.engine.planner import (
     COST_MARGIN,
     CostModel,
@@ -24,7 +25,7 @@ from repro.engine.planner import (
     canonical_text,
     normalize_query_text,
 )
-from repro.engine.plans import available_plans
+from repro.engine.plans import CompiledPlan, available_plans, register_plan
 from repro.query.parser import parse_twig
 from repro.store import ArtifactStore, MemoryBlockStore
 
@@ -375,6 +376,36 @@ class TestEngineIntegration:
         persisted = figure_session.planner.statistics_payload()
         assert "scatter:4" not in json.dumps(persisted)
         assert all(set(row["plans"]) <= set(available_plans()) for row in persisted["queries"])
+
+    def test_statistics_of_a_plugin_plan_registered_before_adoption_load(
+        self, figure_session, monkeypatch
+    ):
+        # Adoption keeps the latencies of every plan registered at that
+        # point, plugins included; only unregistered names are dropped.
+        monkeypatch.setattr(plans_module, "_PLAN_REGISTRY", dict(plans_module._PLAN_REGISTRY))
+
+        class PluginPlan(CompiledPlan):
+            name = "plugin"
+
+        register_plan(PluginPlan())
+        latency = {"count": 2, "total_ms": 8.0, "best_ms": 4.0, "last_ms": 4.0}
+        row = {
+            "key": ICN_QUERY,
+            "executions": 2,
+            "state": [0, 0],
+            "plans": {
+                "compiled": dict(latency, ewma_ms=4.0),
+                "plugin": dict(latency, ewma_ms=4.5),
+                "unregistered": dict(latency, ewma_ms=1.0),
+            },
+        }
+        payload = {"kind": "planner_stats", "format": 1, "signature": {}, "queries": [row]}
+        assert figure_session.planner.adopt_payload(payload) == 1
+        stats = figure_session.planner.statistics(ICN_QUERY)
+        assert set(stats.plans) == {"compiled", "plugin"}
+        assert stats.plans["plugin"].ewma_ms == 4.5
+        persisted = figure_session.planner.statistics_payload()
+        assert set(persisted["queries"][0]["plans"]) == {"compiled", "plugin"}
 
     def test_explain_reports_planner_decision(self, figure_session):
         report = figure_session.explain(ICN_QUERY)
