@@ -15,8 +15,16 @@ interleaved round-robin) two ways:
 Both passes run against pre-built session artifacts, so the comparison is
 steady-state serving, not construction.  The acceptance bar is a ≥2x
 throughput win for the service path; the warm cache turns evaluations into
-dictionary lookups, and ~4x is typical on the mixed workload.  p50/p95/p99
-latencies of both passes land in the report.
+dictionary lookups, and ~2.5-3x is typical on the mixed workload.  p50/p95/p99
+latencies of one warm pass of each land in the report.
+
+The ratio used to come from one pass per side, and the baseline's pass was
+the first execution of every query (parse, resolve and filter included);
+it read 1.2-1.7x inside full test runs and 2.4-3.7x standalone.  A pass
+takes a few milliseconds, shorter than the host's speed spells, so both
+sides are now timed warm in alternating rounds of ``PASSES`` pass-by-pass
+interleaved passes (:func:`~_workloads.paired_rounds`), and the gate reads
+the median per-round ratio; its spread lands in ``extra_info``.
 
 Environment knobs
 -----------------
@@ -32,10 +40,17 @@ from repro.engine import Dataspace
 from repro.service import QueryService, build_workload, replay_workload
 from repro.workloads.datasets import DATASET_IDS
 
+from _workloads import paired_rounds, ratio_spread
+
 #: Required speedup of the warm concurrent service over sequential execution.
 MIN_SPEEDUP = 2.0
 #: Mapping-set size: small enough that all ten datasets stay cheap to build.
 SERVICE_H = 25
+#: Timed rounds (the gate reads the median per-round ratio) and passes per
+#: side in each round.  A sequential pass takes ~5-10 ms on a 2-vCPU host, so
+#: a round times each side for ~0.1-0.2 s.
+ROUNDS = 9
+PASSES = 20
 
 
 def _datasets() -> list[str]:
@@ -71,28 +86,35 @@ def test_service_throughput(benchmark, experiment_report):
         for session in sessions.values():
             session.snapshot(need_tree=False)
             session.compiled
+        # The first baseline pass prepares every query; the report shows the
+        # second.
+        replay_workload(ops, concurrency=1, services=uncached)
         baseline = replay_workload(ops, concurrency=1, services=uncached)
         service = replay_workload(ops, concurrency=concurrency, services=cached, warm=True)
+
+        def run_baseline_round():
+            replay_workload(ops, concurrency=1, services=uncached)
 
         def run_warm_round():
             replay_workload(ops, concurrency=concurrency, services=cached)
 
+        pairs = paired_rounds(ROUNDS, run_baseline_round, run_warm_round, passes=PASSES)
         benchmark.pedantic(run_warm_round, rounds=3, iterations=1)
         benchmark.extra_info["executor"] = next(iter(cached.values())).executor_config()
     finally:
         for item in list(cached.values()) + list(uncached.values()):
             item.close()
 
-    speedup = (
-        service.throughput_qps / baseline.throughput_qps
-        if baseline.throughput_qps > 0
-        else float("inf")
-    )
+    # Both sides replay the same ops, so the time ratio is the throughput ratio.
+    spread = ratio_spread(pairs)
+    speedup = spread["median"]
     benchmark.extra_info["speedup"] = speedup
+    benchmark.extra_info["ratio_spread"] = spread
     report = experiment_report(
         "service_throughput",
         f"Concurrent warm-cache service vs sequential execute "
-        f"({len(datasets)} datasets, {len(ops)} ops, |M|={SERVICE_H})",
+        f"({len(datasets)} datasets, {len(ops)} ops, |M|={SERVICE_H}, median of "
+        f"{ROUNDS} rounds of {PASSES} interleaved passes)",
     )
     report.add_row(
         "sequential",
@@ -106,7 +128,11 @@ def test_service_throughput(benchmark, experiment_report):
         f"p50={service.latency_ms.get('p50', 0):.2f} ms  "
         f"p99={service.latency_ms.get('p99', 0):.2f} ms",
     )
-    report.add_row("speedup", f"{speedup:.1f}x (required >= {MIN_SPEEDUP:.0f}x)")
+    report.add_row(
+        "speedup",
+        f"{speedup:.1f}x (median of {spread['min']:.1f}-{spread['max']:.1f}x; "
+        f"required >= {MIN_SPEEDUP:.0f}x)",
+    )
     report.add_row(
         "cache",
         f"hits={service.cache['hits']} misses={service.cache['misses']}",
@@ -115,5 +141,5 @@ def test_service_throughput(benchmark, experiment_report):
     assert baseline.errors == 0 and service.errors == 0
     assert speedup >= MIN_SPEEDUP, (
         f"warm concurrent service is only {speedup:.2f}x the sequential baseline "
-        f"({service.throughput_qps:.1f} vs {baseline.throughput_qps:.1f} q/s)"
+        f"(median per-round ratio; per round {spread['min']:.2f}-{spread['max']:.2f}x)"
     )

@@ -357,9 +357,7 @@ def _cmd_query(args, out) -> int:
     chosen = plan_for(
         plan
         if plan is not None
-        else session.plan_decision(
-            builder.prepared, k=args.top_k, collect_statistics=False
-        ).plan_name
+        else session.plan_decision(builder.prepared, collect_statistics=False).plan_name
     )
     session.snapshot(need_tree=chosen.uses_block_tree)
     if chosen.uses_compiled:

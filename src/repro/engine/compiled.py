@@ -225,10 +225,7 @@ class CompiledMappingSet:
 
     def mappings_of(self, mask: int) -> MappingSubset:
         """Materialise ``mask`` as mapping objects (ascending id), carrying ``mask``."""
-        mapping_set = self.mapping_set
-        return MappingSubset(
-            [mapping_set[mapping_id] for mapping_id in iter_mapping_ids(mask)], mask
-        )
+        return self.mapping_set.subset(mask)
 
     # ------------------------------------------------------------------ #
     # Coverage / filtering (the paper's filter_mappings, as bit algebra)

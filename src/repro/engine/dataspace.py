@@ -1306,9 +1306,7 @@ class Dataspace:
             0,
             required_mask,
             probability_sensitive=False,
-            transform=lambda rows: MappingSubset(
-                [mapping_set[m.mapping_id] for m in rows], rows.mask
-            ),
+            transform=lambda rows: mapping_set.subset(rows.mask),
         )
         if relevant is None:
             relevant = self._filter_cache.put(
@@ -1521,30 +1519,18 @@ class Dataspace:
         return self._planner
 
     def plan_decision(
-        self,
-        prepared: PreparedQuery,
-        *,
-        k: Optional[int] = None,
-        state: Optional[tuple[int, int]] = None,
-        collect_statistics: bool = True,
+        self, prepared: PreparedQuery, *, collect_statistics: bool = True
     ) -> PlanDecision:
-        """The cost model's full decision for ``prepared`` at the current state.
+        """The cost model's full decision for ``prepared``.
 
         The one decision entry: both ``execute()`` and ``explain()`` of an
-        un-forced query take their plan from here.  ``state`` lets a caller
-        that already holds a snapshot pass its ``(generation, delta_epoch)``
-        instead of paying a second read-lock acquisition; the execute path
-        also passes ``collect_statistics=False`` to skip the serialized
-        statistics snapshot only ``explain()`` output reads.
+        un-forced query take their plan from here.  The decision depends on
+        the query's own measured latencies only, not on the session state or
+        ``k``.  The execute path passes ``collect_statistics=False`` to skip
+        the serialized statistics snapshot only ``explain()`` output reads.
         """
-        if state is None:
-            with self._lock.read_locked():
-                state = (self._generation, self._delta_epoch)
         return self._planner.decide(
-            prepared.cache_key,
-            state=state,
-            k=k,
-            collect_statistics=collect_statistics,
+            prepared.cache_key, collect_statistics=collect_statistics
         )
 
     def calibrate(

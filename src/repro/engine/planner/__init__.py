@@ -10,15 +10,18 @@ spellings share one prepared plan and one statistics record.
 
 :class:`QueryPlanner` is the facade a :class:`~repro.engine.dataspace.Dataspace`
 owns: one statistics collector, one cost model, and a bounded decision cache
-keyed by ``(query, collector version, session state, k)`` —
-steady-state decisions are dictionary lookups, and any structural statistics
-change retires them wholesale by bumping the collector version.
+keyed by ``(query, that query's statistics version)`` — steady-state
+decisions are dictionary lookups, and a structural change of one query's
+statistics retires that query's decision alone.  The cost model reads
+nothing but the query's latency records, so neither the session state nor
+``k`` is part of the key: a delta batch keeps every decision.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Optional
 
 from repro.engine.planner.cost import (
@@ -58,51 +61,42 @@ class QueryPlanner:
         self.collector = StatisticsCollector()
         self.model = CostModel(margin=margin)
         self._lock = threading.Lock()
-        self._decisions: "OrderedDict[tuple, tuple[PlanDecision, PlanDecision]]" = OrderedDict()
+        self._decisions: "OrderedDict[tuple[str, Optional[int]], PlanDecision]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Decisions
     # ------------------------------------------------------------------ #
-    def decide(
-        self,
-        key: str,
-        *,
-        state: Optional[tuple[int, int]] = None,
-        k: Optional[int] = None,
-        collect_statistics: bool = False,
-    ) -> PlanDecision:
-        """The cost model's strategy for ``key`` at ``state`` (cached).
+    def decide(self, key: str, *, collect_statistics: bool = False) -> PlanDecision:
+        """The cost model's strategy for ``key`` (cached).
 
-        The cache key embeds the collector version: any structural
-        statistics update (first measurement of a strategy, large EWMA move,
-        adopted persisted payload) bumps it and every stale decision misses
-        naturally — no invalidation walk.
+        The cache key embeds the query's statistics version
+        (:meth:`StatisticsCollector.version_of`): a structural update of the
+        query's statistics (first measurement of a strategy, large EWMA
+        move, adopted persisted record) changes it and the stale decision
+        misses naturally — no invalidation walk.
 
-        By default decisions carry no serialized statistics snapshot (the
-        hot execute path never reads it); ``collect_statistics=True`` —
-        the ``explain()`` path — upgrades the cached entry in place.
+        Cached decisions carry no serialized statistics snapshot (the hot
+        execute path never reads it); ``collect_statistics=True`` — the
+        ``explain()`` path — attaches the query's current one.
         """
-        version = self.collector.version
-        cache_key = (key, version, state, k)
+        cache_key = (key, self.collector.version_of(key))
         with self._lock:
-            entry = self._decisions.get(cache_key)
-            if entry is not None and not (
-                collect_statistics and entry[0].statistics is None
-            ):
+            decision = self._decisions.get(cache_key)
+            if decision is not None:
                 self._decisions.move_to_end(cache_key)
-                # The pre-built cached variant keeps steady-state decisions
-                # allocation-free — this path runs on every executed query.
-                return entry[1]
-        decision = self.model.decide(
-            self.collector.get(key),
-            k=k,
-            collect_statistics=collect_statistics,
-        )
-        with self._lock:
-            self._decisions[cache_key] = (decision, decision.as_cached())
-            self._decisions.move_to_end(cache_key)
-            while len(self._decisions) > _MAX_DECISIONS:
-                self._decisions.popitem(last=False)
+        if decision is None:
+            decision = self.model.decide(
+                self.collector.get(key), collect_statistics=collect_statistics
+            )
+            # The stored variant is pre-built, so steady-state decisions stay
+            # allocation-free — this path runs on every executed query.
+            with self._lock:
+                self._decisions[cache_key] = decision.as_cached()
+                self._decisions.move_to_end(cache_key)
+                while len(self._decisions) > _MAX_DECISIONS:
+                    self._decisions.popitem(last=False)
+        elif collect_statistics:
+            decision = replace(decision, statistics=self.collector.snapshot(key))
         return decision
 
     # ------------------------------------------------------------------ #
@@ -138,11 +132,7 @@ class QueryPlanner:
         return self.collector.to_payload(signature)
 
     def adopt_payload(self, payload: Optional[dict]) -> int:
-        adopted = self.collector.adopt_payload(payload)
-        if adopted:
-            with self._lock:
-                self._decisions.clear()
-        return adopted
+        return self.collector.adopt_payload(payload)
 
     def report(self) -> dict:
         """Summary for ``Dataspace.describe()``."""
@@ -151,6 +141,5 @@ class QueryPlanner:
         return {
             "tracked_queries": len(self.collector),
             "cached_decisions": cached_decisions,
-            "version": self.collector.version,
             "margin": self.model.margin,
         }

@@ -58,7 +58,7 @@ class PlanEstimate:
 
 @dataclass(frozen=True)
 class PlanDecision:
-    """The cost model's answer for one (query, state, k) question.
+    """The cost model's answer for one query.
 
     ``plan_name`` names a registered in-process
     :class:`~repro.engine.plans.QueryPlan`.  ``candidates`` records every
@@ -74,8 +74,8 @@ class PlanDecision:
     cached: bool = False
 
     def as_cached(self) -> "PlanDecision":
-        """This decision, marked as served from the decision cache."""
-        return replace(self, cached=True)
+        """This decision as the decision cache serves it: marked, no snapshot."""
+        return replace(self, statistics=None, cached=True)
 
 
 class CostModel:
@@ -99,13 +99,12 @@ class CostModel:
         self,
         stats: Optional[QueryStatistics],
         *,
-        k: Optional[int] = None,
         collect_statistics: bool = True,
     ) -> PlanDecision:
         """Pick a plan for one query given its accumulated statistics.
 
-        ``k`` is currently informational — latencies are aggregated across
-        top-k settings.  ``collect_statistics=False`` skips
+        Latencies are aggregated across top-k settings and session states,
+        so the choice depends on ``stats`` alone.  ``collect_statistics=False`` skips
         attaching the serialized statistics snapshot — the execute hot path
         asks for that, since the snapshot only serves ``explain()`` output
         and building it costs more than the decision itself.

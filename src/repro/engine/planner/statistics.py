@@ -28,6 +28,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Optional
 
 from repro.engine.plans import available_plans
@@ -49,8 +50,8 @@ _MAX_TOPK_THRESHOLDS = 32
 #: EWMA smoothing weight of the newest latency sample.
 _EWMA_ALPHA = 0.3
 
-#: Relative EWMA change that counts as a *structural* update (bumps the
-#: collector version, retiring cached plan decisions for the query).
+#: Relative EWMA change that counts as a *structural* update (restamps the
+#: query's statistics version, retiring its cached plan decision).
 _STRUCTURAL_DELTA = 0.25
 
 
@@ -114,6 +115,8 @@ class QueryStatistics:
     ``topk_thresholds`` remembers
     the *exact* k-th best probability of finished top-k selections per
     session state (see :meth:`record_topk_threshold`).
+    ``version`` is the stamp of the record's last structural update, drawn
+    by the collector; it is not persisted.
     """
 
     key: str
@@ -126,6 +129,7 @@ class QueryStatistics:
     state: Optional[tuple[int, int]] = None
     plans: dict[str, PlanLatency] = field(default_factory=dict)
     topk_thresholds: "OrderedDict[str, float]" = field(default_factory=OrderedDict)
+    version: int = 0
 
     def cache_hit_rate(self) -> Optional[float]:
         """Result-cache hit ratio over every observed lookup, or ``None``."""
@@ -185,33 +189,42 @@ class StatisticsCollector:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._stats: "OrderedDict[str, QueryStatistics]" = OrderedDict()
-        self._version = 0
+        # One sequence for every record's version, so a record created anew
+        # (after eviction or adoption) never repeats a retired stamp.
+        self._stamps = count(1)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._stats)
 
-    @property
-    def version(self) -> int:
-        """Monotonic counter bumped on structural updates.
+    def version_of(self, key: str) -> Optional[int]:
+        """The statistics version of ``key``, or ``None`` without a record.
 
-        Cached plan decisions embed the version they were derived from, so a
-        first measurement for a new strategy (or a large EWMA move) retires
-        them without any cache walking.  Read without the lock: an int read
-        is atomic, and a momentarily stale version only replays a decision
-        the racing update is about to retire anyway — the execute hot path
-        reads this once per query.
+        It changes on every structural update of that query alone: its
+        record's creation, a first measurement of a strategy or a large EWMA
+        move, and adoption of a persisted record.  Cached plan decisions are
+        keyed by it.  Read without the lock: a dict read is atomic, and a
+        momentarily stale version only replays a decision the racing update
+        is about to retire anyway — the execute hot path reads this once
+        per query.
         """
-        return self._version
+        record = self._stats.get(key)
+        return None if record is None else record.version
+
+    def _insert(self, record: QueryStatistics) -> None:
+        """Store ``record`` with a fresh version, LRU-last and bounded (lock held)."""
+        record.version = next(self._stamps)
+        self._stats[record.key] = record
+        self._stats.move_to_end(record.key)
+        while len(self._stats) > _MAX_QUERY_RECORDS:
+            self._stats.popitem(last=False)
 
     def _record(self, key: str) -> QueryStatistics:
         """The stats record for ``key``, LRU-bumped and bounded (lock held)."""
         record = self._stats.get(key)
         if record is None:
             record = QueryStatistics(key=key)
-            self._stats[key] = record
-            while len(self._stats) > _MAX_QUERY_RECORDS:
-                self._stats.popitem(last=False)
+            self._insert(record)
         else:
             self._stats.move_to_end(key)
         return record
@@ -247,7 +260,7 @@ class StatisticsCollector:
             if latency is None:
                 latency = record.plans.setdefault(plan, PlanLatency())
             if latency.observe(latency_ms):
-                self._version += 1
+                record.version = next(self._stamps)
 
     def observe_cache_hit(self, key: str) -> None:
         """Record a result-cache hit (or a retained pre-delta entry) for ``key``."""
@@ -335,10 +348,6 @@ class StatisticsCollector:
             except (KeyError, TypeError, ValueError):
                 continue
             with self._lock:
-                self._stats[record.key] = record
-                self._stats.move_to_end(record.key)
-                while len(self._stats) > _MAX_QUERY_RECORDS:
-                    self._stats.popitem(last=False)
-                self._version += 1
+                self._insert(record)
             adopted += 1
         return adopted

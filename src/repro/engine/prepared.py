@@ -177,16 +177,14 @@ class PreparedQuery:
         self,
         plan: PlanSpec,
         snapshot: Optional["EngineSnapshot"],
-        k: Optional[int],
         collect_statistics: bool,
     ) -> tuple[QueryPlan, Optional["PlanDecision"], "EngineSnapshot"]:
         """The plan to run, the cost model's decision (``None`` when forced), a snapshot.
 
         A forced ``plan`` goes through :func:`plan_for`; otherwise the
         decision comes from :meth:`Dataspace.plan_decision
-        <repro.engine.dataspace.Dataspace.plan_decision>`, keyed by the
-        snapshot's ``(generation, delta_epoch)`` — so ``execute()`` and
-        ``explain()`` always agree on the winner.
+        <repro.engine.dataspace.Dataspace.plan_decision>` — so ``execute()``
+        and ``explain()`` always agree on the winner.
         """
         ds = self._dataspace
         decision = None
@@ -198,16 +196,10 @@ class PreparedQuery:
                 else ds.snapshot(need_tree=chosen.uses_block_tree)
             )
         else:
-            # One snapshot up front: its state keys the decision, and the
-            # common (non-tree) choices evaluate straight against it — only
-            # a tree-plan choice pays a second snapshot.
+            # The common (non-tree) choices evaluate straight against one
+            # snapshot — only a tree-plan choice pays a second.
             snap = snapshot if snapshot is not None else ds.snapshot(need_tree=False)
-            decision = ds.plan_decision(
-                self,
-                k=k,
-                state=(snap.generation, snap.delta_epoch),
-                collect_statistics=collect_statistics,
-            )
+            decision = ds.plan_decision(self, collect_statistics=collect_statistics)
             chosen = plan_for(decision.plan_name)
         if chosen.uses_block_tree and snap.block_tree is None:
             if snapshot is None:
@@ -245,7 +237,7 @@ class PreparedQuery:
             Consult/populate the session's result cache (default ``True``).
             Cached results are shared objects — treat them as read-only.
         """
-        chosen, _, snap = self._plan_and_snapshot(plan, snapshot, k, False)
+        chosen, _, snap = self._plan_and_snapshot(plan, snapshot, False)
         result, _ = self._evaluate(chosen, snap, k, self.relevant_mappings(snap), use_cache)
         return result
 
@@ -315,7 +307,7 @@ class PreparedQuery:
         measured actuals of this very execution (``EXPLAIN ANALYZE``).
         """
         ds = self._dataspace
-        chosen, decision, snap = self._plan_and_snapshot(plan, snapshot, k, True)
+        chosen, decision, snap = self._plan_and_snapshot(plan, snapshot, True)
         reason = decision.reason if decision is not None else "forced by caller"
         # The estimates are whatever the planner knew *before* this run.
         pre_stats = (

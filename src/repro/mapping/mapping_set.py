@@ -13,6 +13,7 @@ built from a mask never has to be converted back.
 from __future__ import annotations
 
 import threading
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.exceptions import MappingError
@@ -34,8 +35,27 @@ def mapping_mask(mapping_ids: Iterable[int]) -> int:
     return mask
 
 
+#: Masks with fewer members than this are peeled bit by bit; denser ones are
+#: scanned as a digit string.  Peeling costs a big-int step per member and
+#: scanning a step per bit in C: over 400 bits, 10 members peel in 3 us and
+#: scan in 8 us, 400 members peel in 95 us and scan in 13 us.  The two meet
+#: near 40 members at 400 bits and near 12 at 100 bits.
+_SCAN_MIN_MEMBERS = 16
+#: Binary digits -> the 0/1 bytes :func:`itertools.compress` selects with.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def iter_mapping_ids(mask: int) -> Iterator[int]:
-    """Yield the mapping ids encoded in ``mask``, in ascending order."""
+    """The mapping ids encoded in ``mask`` (any int >= 0), in ascending order."""
+    if mask.bit_count() < _SCAN_MIN_MEMBERS:
+        return _peel_ids(mask)
+    # Lowest bit first: the digits of ``bin`` reversed, without the "0b".
+    flags = bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
+    return compress(range(len(flags)), flags)
+
+
+def _peel_ids(mask: int) -> Iterator[int]:
+    """Ids of ``mask`` ascending, one lowest set bit at a time."""
     while mask:
         low_bit = mask & -mask
         yield low_bit.bit_length() - 1
@@ -172,6 +192,14 @@ class MappingSet:
     def mappings(self) -> list[Mapping]:
         """The mappings, indexed by ``mapping_id``."""
         return list(self._mappings)
+
+    def subset(self, mask: int) -> MappingSubset:
+        """This set's mappings whose ids are in ``mask`` (ascending id), carrying ``mask``.
+
+        Also re-anchors a subset taken from an earlier set with the same ids
+        to this set's current :class:`Mapping` objects: ``subset(old.mask)``.
+        """
+        return MappingSubset(map(self._mappings.__getitem__, iter_mapping_ids(mask)), mask)
 
     # ------------------------------------------------------------------ #
     # Compiled bitset view

@@ -497,35 +497,49 @@ def match_rewrites(
     document: XMLDocument,
     query: TwigQuery,
     rewrites: Iterable[Rewrite],
-    *,
-    disjoint: bool = False,
 ) -> tuple[dict[int, frozenset[CanonicalMatch]], dict[tuple[int, ...], frozenset[CanonicalMatch]]]:
     """Match each distinct rewrite once; fan the canonical matches out by bitmask.
 
     Returns ``(per_mapping, by_signature)``: every member mapping's canonical
     match set (unioned when several rewrites reach one mapping) and the
-    match set of each distinct source signature.  ``disjoint`` declares that
-    no mapping is in two rewrites (the rewrites of a single embedding), so
-    members are assigned without the union.
+    match set of each distinct source signature.
+
+    The members are kept as disjoint cells of mappings that the same
+    rewrites reached so far.  A rewrite whose group overlaps a cell splits
+    it, and the overlap takes the cell's set united with the rewrite's, so
+    the unions run once per cell rather than once per mapping, in the same
+    rewrite order.  Every mapping of a cell shares its one match set object.
     """
     node_ids = _node_ids(query)
     root = query.root
-    per_mapping: dict[int, frozenset[CanonicalMatch]] = {}
     by_signature: dict[tuple[int, ...], frozenset[CanonicalMatch]] = {}
+    cells: list[tuple[int, frozenset[CanonicalMatch]]] = []
+    covered = 0
     for group_mask, signature in rewrites:
         canonical = by_signature.get(signature)
         if canonical is None:
             element_map = dict(zip(node_ids, signature))
             canonical = _canonicalize(match_twig(document, root, element_map))
             by_signature[signature] = canonical
-        if disjoint:
-            per_mapping.update(dict.fromkeys(iter_mapping_ids(group_mask), canonical))
-            continue
-        for mapping_id in iter_mapping_ids(group_mask):
-            existing = per_mapping.get(mapping_id)
-            per_mapping[mapping_id] = (
-                canonical if existing is None else existing | canonical
-            )
+        fresh = group_mask
+        if group_mask & covered:
+            refined = []
+            for cell_mask, cell_set in cells:
+                shared = cell_mask & group_mask
+                if shared:
+                    refined.append((shared, cell_set | canonical))
+                    fresh ^= shared
+                    if shared != cell_mask:
+                        refined.append((cell_mask ^ shared, cell_set))
+                else:
+                    refined.append((cell_mask, cell_set))
+            cells = refined
+        if fresh:
+            cells.append((fresh, canonical))
+        covered |= group_mask
+    per_mapping: dict[int, frozenset[CanonicalMatch]] = {}
+    for cell_mask, cell_set in cells:
+        per_mapping.update(dict.fromkeys(iter_mapping_ids(cell_mask), cell_set))
     return per_mapping, by_signature
 
 
@@ -558,9 +572,7 @@ def evaluate_resolved_compiled(
     """
     compiled = mapping_set.compile()
     rewrites = derive_rewrites(query, compiled, embeddings, compiled.mask_for(mappings))
-    per_mapping, _ = match_rewrites(
-        document, query, rewrites, disjoint=len(embeddings) == 1
-    )
+    per_mapping, _ = match_rewrites(document, query, rewrites)
     return _build_reusing_result(query, document, per_mapping, compiled.probabilities)
 
 

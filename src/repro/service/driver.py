@@ -18,8 +18,8 @@ comparable across runs.
 
 from __future__ import annotations
 
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -266,8 +266,27 @@ def _run_ops(
         return (time.perf_counter() - started) * 1000.0
 
     if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            measured = list(pool.map(run_one, ops))
+        # Closed-loop workers, each taking the next op from one shared
+        # iterator, not a pool future per op: a future costs ~25 us, as much
+        # as a cached read, and would be measured as serving time.
+        pending = iter(ops)
+        measured: list[Optional[float]] = []
+        failures: list[Exception] = []
+
+        def work() -> None:
+            try:
+                for op in pending:
+                    measured.append(run_one(op))
+            except Exception as error:  # raised below, in the caller's thread
+                failures.append(error)
+
+        workers = [threading.Thread(target=work) for _ in range(concurrency)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        if failures:
+            raise failures[0]
     else:
         measured = [run_one(op) for op in ops]
     for sample in measured:

@@ -8,13 +8,18 @@ the basic per-mapping evaluation, for any block-tree configuration.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _scenarios import query_scenarios, random_tree_schema
 from repro.core.blocktree import BlockTreeConfig, build_block_tree
-from repro.query.ptq import evaluate_ptq_basic, evaluate_ptq_blocktree
+from repro.mapping.mapping_set import iter_mapping_ids
+from repro.query import ptq
+from repro.query.parser import parse_twig
+from repro.query.ptq import evaluate_ptq_basic, evaluate_ptq_blocktree, match_rewrites
 from repro.query.topk import evaluate_topk_ptq
 from repro.schema.parser import parse_schema, schema_to_text
 
@@ -66,6 +71,58 @@ class TestPTQEquivalence:
         mapping_set, document, query, _ = scenario
         result = evaluate_ptq_basic(query, mapping_set, document)
         assert 0.0 <= result.total_probability() <= 1.0 + 1e-9
+
+
+#: Rewrites over up to 40 mappings, each a nonempty random group mask and
+#: one of 6 source signatures; groups may overlap arbitrarily.
+_REWRITES = st.integers(1, 40).flatmap(
+    lambda width: st.lists(
+        st.tuples(st.integers(1, (1 << width) - 1), st.integers(0, 5).map(lambda s: (s,))),
+        max_size=12,
+    )
+)
+#: Each signature's matches: a small set of document node ids.
+_MATCHES = st.lists(st.frozensets(st.integers(0, 6), max_size=3), min_size=6, max_size=6)
+
+
+class TestMatchRewritesFanOut:
+    @settings(max_examples=200, deadline=None)
+    @given(_REWRITES, _MATCHES)
+    def test_cells_equal_per_mapping_unions(self, rewrites, node_ids):
+        query = parse_twig("A")
+        root_id = query.root.node_id
+
+        def fake_match_twig(document, qnode, element_map):
+            return [
+                {root_id: SimpleNamespace(node_id=node_id)}
+                for node_id in node_ids[element_map[root_id]]
+            ]
+
+        with mock.patch.object(ptq, "match_twig", fake_match_twig):
+            per_mapping, by_signature = match_rewrites(None, query, rewrites)
+
+        canonical = {
+            (signature,): frozenset(((root_id, n),) for n in node_ids[signature])
+            for signature in range(6)
+        }
+        expected: dict = {}
+        membership: dict = {}
+        for index, (group_mask, signature) in enumerate(rewrites):
+            for mapping_id in iter_mapping_ids(group_mask):
+                existing = expected.get(mapping_id)
+                expected[mapping_id] = (
+                    canonical[signature]
+                    if existing is None
+                    else existing | canonical[signature]
+                )
+                membership.setdefault(mapping_id, []).append(index)
+        assert per_mapping == expected
+        assert by_signature == {sig: canonical[sig] for _, sig in rewrites}
+        # Mappings reached by the same rewrites share one match set object.
+        shared: dict = {}
+        for mapping_id, indices in membership.items():
+            first = shared.setdefault(tuple(indices), per_mapping[mapping_id])
+            assert per_mapping[mapping_id] is first
 
 
 class TestSchemaRoundTripProperties:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.engine import CompiledMappingSet, Dataspace, compile_mapping_set, plan_for
-from repro.mapping.mapping_set import iter_mapping_ids, mapping_mask
+from repro.mapping.mapping_set import _SCAN_MIN_MEMBERS, iter_mapping_ids, mapping_mask
 from repro.query.parser import parse_twig
 from repro.query.ptq import derive_rewrites
 from repro.query.resolve import resolve_query
@@ -15,6 +17,11 @@ ICN_QUERY = "//INVOICE_PARTY//CONTACT_NAME"
 
 def answers_of(result):
     return {(answer.mapping_id, answer.matches, answer.probability) for answer in result}
+
+
+def _spread_mask(members: int, width: int = 400) -> int:
+    """A mask of ``members`` ids spread evenly over ``width`` bits."""
+    return mapping_mask(range(width - 1, -1, -(width // members))[:members])
 
 
 class TestMaskPrimitives:
@@ -29,6 +36,31 @@ class TestMaskPrimitives:
 
     def test_mask_is_idempotent_on_duplicates(self):
         assert mapping_mask([2, 2, 2]) == mapping_mask([2])
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            0,
+            1,
+            1 << 1234,
+            (1 << 400) - 1,
+            random.Random(7).getrandbits(400),
+            # Either side of the member count where peeling gives way to
+            # scanning.
+            _spread_mask(_SCAN_MIN_MEMBERS - 1),
+            _spread_mask(_SCAN_MIN_MEMBERS),
+            _spread_mask(_SCAN_MIN_MEMBERS + 1),
+        ],
+        ids=["empty", "bit0", "bit1234", "dense400", "random400", "below", "at", "above"],
+    )
+    def test_ids_match_lowest_bit_peel(self, mask):
+        expected = []
+        rest = mask
+        while rest:
+            low_bit = rest & -rest
+            expected.append(low_bit.bit_length() - 1)
+            rest ^= low_bit
+        assert list(iter_mapping_ids(mask)) == expected
 
 
 class TestCompiledMappingSet:

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.engine import Dataspace
+from repro.engine import Dataspace, MappingDelta
 from repro.engine import plans as plans_module
 from repro.engine.planner import (
     COST_MARGIN,
@@ -148,12 +148,16 @@ class TestStatisticsCollector:
 
     def test_structural_updates_bump_version(self):
         collector = StatisticsCollector()
-        before = collector.version
+        assert collector.version_of("q") is None
+        collector.observe_cache_hit("q")
+        before = collector.version_of("q")
         collector.observe_execution("q", "compiled", 2.0)
-        assert collector.version > before
-        stable = collector.version
+        assert collector.version_of("q") > before
+        stable = collector.version_of("q")
         collector.observe_execution("q", "compiled", 2.0)  # EWMA unchanged
-        assert collector.version == stable
+        assert collector.version_of("q") == stable
+        collector.observe_execution("other", "compiled", 2.0)
+        assert collector.version_of("q") == stable
 
     def test_topk_threshold_is_state_scoped(self):
         collector = StatisticsCollector()
@@ -254,32 +258,55 @@ class TestCostModel:
 # Planner facade: decision caching and invalidation
 # --------------------------------------------------------------------------- #
 class TestQueryPlanner:
-    def test_decisions_are_cached_per_state(self):
+    def test_decisions_are_cached_per_query(self):
         planner = QueryPlanner()
-        first = planner.decide("q", state=(0, 0))
-        again = planner.decide("q", state=(0, 0))
+        first = planner.decide("q")
+        again = planner.decide("q")
         assert not first.cached
         assert again.cached
-        other_state = planner.decide("q", state=(0, 1))
-        assert not other_state.cached
+        other_query = planner.decide("other")
+        assert not other_query.cached
 
     def test_structural_observation_retires_cached_decisions(self):
         planner = QueryPlanner()
-        planner.decide("q", state=(0, 0))
-        planner.observe_execution("q", "compiled", 5.0)  # bumps collector version
-        fresh = planner.decide("q", state=(0, 0))
+        planner.decide("q")
+        planner.observe_execution("q", "compiled", 5.0)  # new version for "q"
+        fresh = planner.decide("q")
         assert not fresh.cached
+
+    def test_ewma_move_of_one_query_keeps_the_others_decisions(self):
+        planner = QueryPlanner()
+        for key in ("a", "b"):
+            planner.observe_execution(key, "compiled", 5.0)
+            planner.decide(key)
+        planner.observe_execution("a", "compiled", 50.0)  # a structural EWMA move
+        assert not planner.decide("a").cached
+        assert planner.decide("b").cached
 
     def test_adopting_a_payload_clears_the_decision_cache(self):
         donor = QueryPlanner()
         donor.observe_execution("q", "compiled", 5.0)
         donor.observe_execution("q", "basic", 0.5)
         planner = QueryPlanner()
-        planner.decide("q", state=(0, 0))
+        planner.decide("q")
+        planner.observe_execution("kept", "compiled", 5.0)
+        planner.decide("kept")
         assert planner.adopt_payload(donor.statistics_payload()) == 1
-        decision = planner.decide("q", state=(0, 0))
+        decision = planner.decide("q")
         assert not decision.cached
         assert decision.plan_name == "basic"
+        # Only the adopted queries' decisions are retired.
+        assert planner.decide("kept").cached
+
+    def test_explain_statistics_are_current_on_a_cached_decision(self):
+        planner = QueryPlanner()
+        planner.observe_execution("q", "compiled", 5.0)
+        planner.decide("q")
+        planner.observe_cache_hit("q")  # not structural: the decision stays
+        decision = planner.decide("q", collect_statistics=True)
+        assert decision.cached
+        assert decision.statistics["cache_hits"] == 1
+        assert planner.decide("q").statistics is None
 
     def test_report_shape(self):
         planner = QueryPlanner()
@@ -293,6 +320,25 @@ class TestQueryPlanner:
 # Engine integration: persistence, calibration, explain(analyze=True)
 # --------------------------------------------------------------------------- #
 class TestEngineIntegration:
+    def test_delta_batch_keeps_plan_decisions(self, figure_session, figure_mappings):
+        figure_session.execute(ICN_QUERY, use_cache=False)
+        prepared = figure_session.prepare(ICN_QUERY)
+        before = figure_session.plan_decision(prepared, collect_statistics=False)
+        assert figure_session.plan_decision(prepared, collect_statistics=False).cached
+        figure_session.apply_delta_batch(
+            [
+                MappingDelta.build(
+                    reweight={
+                        0: figure_mappings[3].probability,
+                        3: figure_mappings[0].probability,
+                    }
+                )
+            ]
+        )
+        after = figure_session.plan_decision(prepared, collect_statistics=False)
+        assert after.cached
+        assert after.plan_name == before.plan_name
+
     def test_statistics_persist_and_reopen(self, figure_session):
         for _ in range(3):
             figure_session.execute(ICN_QUERY, use_cache=False)
@@ -357,11 +403,10 @@ class TestEngineIntegration:
         prepared = figure_session.prepare(ICN_QUERY)
         decisions = [
             figure_session.plan_decision(prepared),
-            figure_session.plan_decision(prepared, k=2),
             figure_session.explain(ICN_QUERY).to_dict()["planner"],
         ]
-        winners = [decisions[0].plan_name, decisions[1].plan_name, decisions[2]["winner"]]
-        assert winners == ["basic", "basic", "basic"]
+        winners = [decisions[0].plan_name, decisions[1]["winner"]]
+        assert winners == ["basic", "basic"]
         assert set(winners) <= set(available_plans())
         assert {est.plan for est in decisions[0].candidates} <= set(available_plans())
         for k in (None, 2):
@@ -372,7 +417,7 @@ class TestEngineIntegration:
             ] == [(a.mapping_id, a.matches, a.probability.hex()) for a in routed]
         # The unregistered record is dropped on adoption: it neither shows in
         # explain's statistics snapshot nor gets persisted again.
-        assert set(decisions[2]["statistics"]["plans"]) == {"basic", "compiled"}
+        assert set(decisions[1]["statistics"]["plans"]) == {"basic", "compiled"}
         persisted = figure_session.planner.statistics_payload()
         assert "scatter:4" not in json.dumps(persisted)
         assert all(set(row["plans"]) <= set(available_plans()) for row in persisted["queries"])

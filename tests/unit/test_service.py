@@ -630,6 +630,35 @@ class TestReplayDriver:
         assert "writes=1" in report.format()
         assert figure_dataspace.delta_epoch == before + 1
 
+    def test_concurrent_replay_runs_every_op_once(self, figure_dataspace):
+        import sys
+
+        from repro.service import ReplayOp, replay_workload
+
+        ops = [ReplayOp("fig", (ICN_QUERY, SCN_QUERY)[i % 2]) for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryService(figure_dataspace, max_workers=1) as service:
+                report = replay_workload(ops, concurrency=8, services={"fig": service})
+                stats = service.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.errors == 0
+        assert stats["submitted"] == stats["completed"] == len(ops)
+        assert stats["errors"] == 0
+
+    def test_concurrent_replay_raises_a_worker_failure(self):
+        from repro.service import ReplayOp, replay_workload
+
+        class Broken:
+            def execute(self, query, k=None):
+                raise RuntimeError("broken service")
+
+        ops = [ReplayOp("fig", ICN_QUERY)] * 20
+        with pytest.raises(RuntimeError, match="broken service"):
+            replay_workload(ops, concurrency=4, services={"fig": Broken()})
+
     def test_swap_reweight_delta_is_mass_preserving_and_replayable(
         self, figure_dataspace
     ):
