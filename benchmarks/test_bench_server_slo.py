@@ -26,6 +26,13 @@ every request *immediately* — success or typed
 :class:`~repro.api.OverloadedError` with a retry hint — never a hang or a
 timeout.
 
+A second gate times the hot path the SLO gate bypasses: over one connection
+speaking raw frames, a **cached query's round trip costs at most 4.5x a ping's**
+(median per-round ratio of alternating passes).  A ping is answered on the
+event loop without touching the engine, so the ratio is what serving a
+cached answer adds to the bare transport: the lookup, the response's encoded
+bytes and, unless hits are answered on the loop, an executor hop.
+
 Environment knobs
 -----------------
 ``REPRO_BENCH_SLO_CONNECTIONS``
@@ -48,8 +55,18 @@ from repro.api import OverloadedError, QueryRequest, encode_message
 from repro.api.handler import ApiHandler
 from repro.engine import Dataspace
 from repro.net import ReproServer, connect
-from repro.net.framing import HEADER_SIZE, OP_RESPONSE, decode_header, encode_frame, OP_REQUEST
+from repro.net.framing import (
+    HEADER_SIZE,
+    OP_PING,
+    OP_PONG,
+    OP_REQUEST,
+    OP_RESPONSE,
+    decode_header,
+    encode_frame,
+)
 from repro.service import QueryService, workload_queries
+
+from _workloads import paired_rounds, ratio_spread
 
 #: Remote p99 must stay within this factor of the warm in-process median.
 MAX_P99_FACTOR = 5.0
@@ -61,6 +78,17 @@ SLO_PLAN = "basic"
 
 CONNECTIONS = int(os.environ.get("REPRO_BENCH_SLO_CONNECTIONS", "32"))
 REQUESTS_PER_CONNECTION = int(os.environ.get("REPRO_BENCH_SLO_REQUESTS", "25"))
+
+#: A cached query's round trip must stay within this factor of a ping's.
+MAX_CACHED_RT_FACTOR = 4.5
+#: The hot request: remote-hot's most frequent key (D7, |M|=100, Q1 top-10).
+HOT_H = 100
+HOT_QUERY = "Q1"
+HOT_K = 10
+#: Alternating rounds, passes per side per round, round trips per pass.
+RT_ROUNDS = 10
+RT_PASSES = 4
+RT_TRIPS = 50
 
 
 class _LoopThread:
@@ -84,6 +112,16 @@ def percentile(samples: list[float], q: float) -> float:
     ordered = sorted(samples)
     index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
     return ordered[index]
+
+
+def recv_exact(sock: socket.socket, n: int) -> bytes:
+    data = b""
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        if not chunk:
+            raise ConnectionError("server closed the connection")
+        data += chunk
+    return data
 
 
 def _closed_loop(worker, num_threads: int) -> list[float]:
@@ -137,15 +175,6 @@ def test_server_slo(benchmark, experiment_report):
                 )
                 for query in queries
             ]
-
-            def recv_exact(sock: socket.socket, n: int) -> bytes:
-                data = b""
-                while len(data) < n:
-                    chunk = sock.recv(n - len(data))
-                    if not chunk:
-                        raise ConnectionError("server closed the connection")
-                    data += chunk
-                return data
 
             def server_worker(index: int) -> list[float]:
                 samples = []
@@ -256,4 +285,65 @@ def test_server_slo(benchmark, experiment_report):
         f"remote p99 {remote_p99 * 1e3:.2f} ms exceeds {MAX_P99_FACTOR:g}x the "
         f"in-process median {baseline_median * 1e3:.2f} ms at "
         f"{CONNECTIONS} connections"
+    )
+
+
+def test_cached_round_trip_vs_ping(benchmark, experiment_report):
+    session = Dataspace.from_dataset("D7", h=HOT_H)
+    with QueryService(session, max_workers=2) as service:
+        harness = _LoopThread(ReproServer(service))
+        try:
+            query_frame = encode_frame(
+                OP_REQUEST, encode_message(QueryRequest(query=HOT_QUERY, k=HOT_K))
+            )
+            ping_frame = encode_frame(OP_PING)
+            with socket.create_connection(("127.0.0.1", harness.server.port), 30.0) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+                def round_trips(frame: bytes, expected: int) -> None:
+                    for _ in range(RT_TRIPS):
+                        sock.sendall(frame)
+                        opcode, length = decode_header(
+                            recv_exact(sock, HEADER_SIZE), max_payload=1 << 30
+                        )
+                        recv_exact(sock, length)
+                        assert opcode == expected
+
+                def query_pass() -> None:
+                    round_trips(query_frame, OP_RESPONSE)
+
+                def ping_pass() -> None:
+                    round_trips(ping_frame, OP_PONG)
+
+                query_pass()  # the first request fills the result cache
+                pairs = paired_rounds(RT_ROUNDS, query_pass, ping_pass, passes=RT_PASSES)
+                benchmark.pedantic(query_pass, rounds=1, iterations=1)
+        finally:
+            harness.stop()
+
+    spread = ratio_spread(pairs)
+    ratio = spread["median"]
+    trips = RT_PASSES * RT_TRIPS
+    query_us = statistics.median(first for first, _ in pairs) / trips * 1e6
+    ping_us = statistics.median(second for _, second in pairs) / trips * 1e6
+    benchmark.extra_info["cached_rt_us"] = query_us
+    benchmark.extra_info["ping_rt_us"] = ping_us
+    benchmark.extra_info["cached_rt_ratio"] = ratio
+    benchmark.extra_info["ratio_spread"] = spread
+
+    report = experiment_report(
+        "cached_round_trip",
+        f"cached query vs ping round trip (one connection, raw frames, D7, "
+        f"|M|={HOT_H}, {HOT_QUERY} k={HOT_K})",
+    )
+    report.add_row("cached query", f"{query_us:8.1f} us per round trip (median round)")
+    report.add_row("ping", f"{ping_us:8.1f} us per round trip (median round)")
+    report.add_row(
+        "ratio",
+        f"{ratio:.2f}x median, {spread['min']:.2f}-{spread['max']:.2f}x over "
+        f"{spread['rounds']} rounds (required <= {MAX_CACHED_RT_FACTOR:g}x)",
+    )
+    assert ratio <= MAX_CACHED_RT_FACTOR, (
+        f"a cached query's round trip costs {ratio:.2f}x a ping's "
+        f"({query_us:.0f} us vs {ping_us:.0f} us)"
     )

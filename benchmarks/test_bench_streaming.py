@@ -37,7 +37,7 @@ from repro.engine import Dataspace, MappingDelta
 from repro.engine.streaming import DeltaBatch
 from repro.workloads.queries import load_query
 
-from _workloads import best_of
+from _workloads import best_of, paired_rounds, ratio_spread
 
 #: Required speedup of notifying all standing queries over re-running them.
 MIN_SPEEDUP = 10.0
@@ -119,6 +119,10 @@ def test_streaming_notification_speedup(benchmark, experiment_report):
     notify_time, _ = best_of(ROUNDS, notify_round)
     rerun_time, _ = best_of(ROUNDS, rerun_round)
     speedup = rerun_time / notify_time if notify_time > 0 else float("inf")
+    # Recorded, not gated: in alternating rounds every notify batch follows a
+    # re-run and starts with cold caches, so the per-round ratio reads lower
+    # than the steady-state best-of ratio the gate asserts.
+    spread = ratio_spread(paired_rounds(ROUNDS, rerun_round, notify_round))
 
     # Unaffected classification: structural edits outside every standing
     # query's required-target set must cost mask tests only.
@@ -161,6 +165,7 @@ def test_streaming_notification_speedup(benchmark, experiment_report):
     benchmark.extra_info["notify_ms"] = notify_time * 1e3
     benchmark.extra_info["rerun_ms"] = rerun_time * 1e3
     benchmark.extra_info["notify_speedup"] = speedup
+    benchmark.extra_info["ratio_spread"] = spread
     benchmark.extra_info["unaffected_round_ms"] = unaffected_with * 1e3
     benchmark.extra_info["unaffected_per_subscriber_us"] = per_subscriber_us
     benchmark.extra_info["classified"] = {
@@ -177,6 +182,11 @@ def test_streaming_notification_speedup(benchmark, experiment_report):
     report.add_row("notify all", f"{notify_time * 1000:8.2f} ms per batch")
     report.add_row("re-run all", f"{rerun_time * 1000:8.2f} ms per batch")
     report.add_row("speedup", f"{speedup:.1f}x (required >= {MIN_SPEEDUP:.0f}x)")
+    report.add_row(
+        "alternating rounds",
+        f"{spread['median']:.1f}x median of {spread['min']:.1f}-{spread['max']:.1f}x "
+        f"over {spread['rounds']} rounds (recorded, not gated)",
+    )
     report.add_row(
         "unaffected commit", f"{unaffected_with * 1000:8.2f} ms per batch"
     )

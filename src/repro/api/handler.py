@@ -1,12 +1,13 @@
 """Transport-neutral dispatch of typed requests onto the engine.
 
 :class:`ApiHandler` is the single place where a wire request becomes engine
-work.  The asyncio server (:mod:`repro.net.server`) calls it from executor
-threads; tests call it directly to pin the in-process reference responses
-that server responses must match byte for byte.  Keeping dispatch out of the
-server means the differential property — *same request, same bytes, with or
-without the network* — is a statement about one shared code path, not about
-two implementations agreeing.
+work.  The asyncio server (:mod:`repro.net.server`) calls
+:meth:`ApiHandler.handle` from executor threads and :meth:`ApiHandler.cached`
+on its event loop; tests call it directly to pin the in-process reference
+responses that server responses must match byte for byte.  Keeping dispatch
+out of the server means the differential property — *same request, same
+bytes, with or without the network* — is a statement about one shared code
+path, not about two implementations agreeing.
 """
 
 from __future__ import annotations
@@ -125,6 +126,18 @@ class ApiHandler:
             request.query, k=request.k, plan=request.plan, use_cache=request.use_cache
         )
         return QueryResponse(query=request.query, result=result)
+
+    def cached(self, request: QueryRequest) -> Optional[QueryResponse]:
+        """The response to ``request`` when its answer is cached, else ``None``.
+
+        Never evaluates or blocks (see :meth:`QueryService.cached
+        <repro.service.QueryService.cached>`), so the server can call it on
+        its event loop; ``None`` means the request goes to :meth:`handle`.
+        """
+        if not request.query or not request.use_cache:
+            return None
+        result = self._service.cached(request.query, k=request.k, plan=request.plan)
+        return None if result is None else QueryResponse(query=request.query, result=result)
 
     def batch(self, request: BatchRequest) -> BatchResponse:
         """Evaluate a batch with shared prefix work and one snapshot."""

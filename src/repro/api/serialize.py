@@ -165,17 +165,22 @@ class QueryAnswer:
 
     @classmethod
     def from_json(cls, payload: dict) -> "QueryAnswer":
-        """Decode one canonical answer payload."""
+        """Decode one canonical answer payload.
+
+        Each match pair must unpack into exactly ``(query_node, doc_node)``.
+        """
         try:
+            matches = payload["matches"]
+            if not isinstance(matches, list):
+                raise TypeError(f"'matches' must be a list, got {type(matches).__name__}")
             return cls(
                 mapping_id=int(payload["mapping_id"]),
                 probability_hex=str(payload["probability"]),
                 matches=tuple(
-                    tuple((int(pair[0]), int(pair[1])) for pair in match)
-                    for match in payload["matches"]
+                    [tuple([(int(node), int(doc)) for node, doc in match]) for match in matches]
                 ),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise BadRequestError(f"malformed answer payload: {exc}") from exc
 
     def to_json(self) -> dict:

@@ -241,6 +241,7 @@ class ResultCache:
         *,
         probability_sensitive: bool = True,
         transform: Optional[Callable[[Any], Any]] = None,
+        count_miss: bool = True,
     ) -> tuple[Optional[Any], str]:
         """Retain-on-miss lookup: ``(value or None, state)`` under one lock.
 
@@ -288,12 +289,18 @@ class ResultCache:
         a full ``invalidate()``: only ``delta_epoch`` varies in the probed
         keys, every other field (including ``generation``) must match
         exactly.
+
+        ``count_miss=False`` makes the lookup a probe: a miss leaves the
+        counters as they were, so a caller that falls back to a counted
+        lookup (the server's event-loop step, then the executor) counts the
+        request once.  Hits and retained serves are counted either way.
         """
         with self._lock:
             try:
                 value = self._entries[key]
             except KeyError:
-                self._misses += 1
+                if count_miss:
+                    self._misses += 1
             else:
                 self._entries.move_to_end(key)
                 self._hits += 1
@@ -327,6 +334,8 @@ class ResultCache:
                         value = transform(value)
                     self._entries[key] = value
                     self._retained += 1
+                    if not count_miss:
+                        self._misses += 1
                     return value, "retained"
             return None, "miss"
 

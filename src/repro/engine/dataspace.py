@@ -1076,6 +1076,19 @@ class Dataspace:
             assert snap is not None  # all artifacts were just built
             return snap
 
+    def try_snapshot(self, *, need_tree: bool = False) -> Optional[EngineSnapshot]:
+        """:meth:`snapshot` without waiting or building, else ``None``.
+
+        ``None`` while a writer holds or awaits the session lock, or while an
+        artifact the snapshot needs is not built yet.
+        """
+        if not self._lock.acquire_read(blocking=False):
+            return None
+        try:
+            return self._snapshot_if_built(need_tree)
+        finally:
+            self._lock.release_read()
+
     @property
     def result_cache(self) -> ResultCache:
         """The session's LRU cache of evaluated :class:`PTQResult` objects."""
@@ -1421,6 +1434,18 @@ class Dataspace:
     ) -> PTQResult:
         """Prepare (or reuse) and evaluate ``query`` in one call."""
         return self.prepare(query).execute(k=k, plan=plan, use_cache=use_cache)
+
+    def cached(
+        self, query: str, *, k: Optional[int] = None, plan: PlanSpec = None
+    ) -> Optional[PTQResult]:
+        """The cached answer to ``execute(query, k=k, plan=plan)``, or ``None``.
+
+        Never parses or prepares: a text the prepared-query cache does not
+        hold returns ``None``.  See :meth:`PreparedQuery.cached`.
+        """
+        key = self._canonical_keys.get(query)
+        prepared = self._prepared.get(key) if key is not None else None
+        return prepared.cached(k=k, plan=plan) if prepared is not None else None
 
     def explain(
         self,

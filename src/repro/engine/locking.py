@@ -30,12 +30,20 @@ class ReadWriteLock:
         self._writer_active = False
         self._waiting_writers = 0
 
-    def acquire_read(self) -> None:
-        """Block until no writer is active or waiting, then join the readers."""
+    def acquire_read(self, blocking: bool = True) -> bool:
+        """Join the readers once no writer is active or waiting; returns ``True``.
+
+        With ``blocking=False`` (as in :meth:`threading.Lock.acquire`) it
+        never waits on a writer: it returns ``False`` at once while one is
+        active or waiting, and the caller holds nothing.
+        """
         with self._cond:
             while self._writer_active or self._waiting_writers:
+                if not blocking:
+                    return False
                 self._cond.wait()
             self._active_readers += 1
+            return True
 
     def release_read(self) -> None:
         """Leave the reader group, waking writers when the group drains."""

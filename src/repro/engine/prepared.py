@@ -16,8 +16,11 @@ captures (or receives) a consistent :class:`~repro.engine.dataspace.EngineSnapsh
 and consults the session's result cache under a key that includes the
 snapshot's generation, so concurrent reconfiguration can neither tear an
 evaluation nor let a stale cached answer escape.  ``execute()`` and
-``explain()`` share one evaluation step: a retain-on-miss cache lookup, the
-plan run on a miss, the planner observation and the cache put.
+``explain()`` share one read step in two halves: the lookup (a
+retain-on-miss cache lookup and the planner's hit observation) and, on a
+miss, the run (the plan run, the planner observation and the cache put).
+:meth:`PreparedQuery.cached` is the lookup half alone, for callers that must
+never evaluate or block.
 
 :class:`QueryBuilder` is the immutable fluent front-end::
 
@@ -241,6 +244,49 @@ class PreparedQuery:
         result, _ = self._evaluate(chosen, snap, k, self.relevant_mappings(snap), use_cache)
         return result
 
+    def cached(self, *, k: Optional[int] = None, plan: PlanSpec = None) -> Optional[PTQResult]:
+        """The result ``execute(k=k, plan=plan)`` would serve from the cache, or ``None``.
+
+        The lookup half of :meth:`execute` alone, for a caller that must not
+        block (the server's event loop).  It never waits on the session
+        lock, builds no artifact, resolves nothing and runs no plan: where
+        any of that would be needed it returns ``None``.  Without the filter
+        step it has no relevant-mapping mask, so any reweight since an
+        entry's epoch counts as touching the query (retention stays sound,
+        only more conservative than in :meth:`execute`).  A miss is not
+        counted — the caller falls back to :meth:`execute`, which counts
+        it — while a hit counts exactly as an ``execute()`` hit would.
+        """
+        if self._resolved is None:
+            return None
+        ds = self._dataspace
+        if plan is None:
+            plan = ds.plan_decision(self, collect_statistics=False).plan_name
+        chosen = plan_for(plan)
+        snap = ds.try_snapshot(need_tree=chosen.uses_block_tree)
+        if snap is None:
+            return None
+        return self._lookup(self._result_key(chosen, k, snap), -1, count_miss=False)[0]
+
+    def _lookup(
+        self, key: CacheKey, mapping_mask: int, count_miss: bool = True
+    ) -> tuple[Optional[PTQResult], str]:
+        """The lookup half of the read step: ``(cached result or None, state)``.
+
+        Retain-on-miss: after an applied delta, an entry written at an
+        earlier ``delta_epoch`` survives when the delta provably did not
+        touch ``mapping_mask`` (the query's relevant mappings) or the
+        query's required target elements.  A hit or retained entry is
+        reported to the planner; ``state`` is ``"hit"``, ``"retained"`` or
+        ``"miss"``.
+        """
+        cached, state = self._dataspace.result_cache.lookup(
+            key, mapping_mask, self.required_target_mask(), count_miss=count_miss
+        )
+        if cached is not None:
+            self._dataspace.planner.observe_cache_hit(self._cache_key)
+        return cached, state
+
     def _evaluate(
         self,
         chosen: QueryPlan,
@@ -249,24 +295,28 @@ class PreparedQuery:
         relevant: MappingSubset,
         use_cache: bool,
     ) -> tuple[PTQResult, str]:
-        """The one evaluation step of ``execute()`` and ``explain()``.
+        """The one read step of ``execute()`` and ``explain()``: lookup, then run.
 
-        Looks the result up (retain-on-miss: after an applied delta, an
-        entry written at an earlier ``delta_epoch`` survives when the delta
-        provably did not touch this query's relevant mappings or required
-        target elements), runs ``chosen`` on a miss, tells the planner which
-        of the two happened and caches what ran.  Returns the result and the
-        cache state: ``"hit"``, ``"retained"``, ``"miss"`` or ``"bypass"``.
+        Returns the result and the cache state: ``"hit"``, ``"retained"``,
+        ``"miss"`` or ``"bypass"``.
         """
+        if not use_cache:
+            return self._run(chosen, snap, k, relevant), "bypass"
+        key = self._result_key(chosen, k, snap)
+        cached, state = self._lookup(key, relevant.mask)
+        if cached is not None:
+            return cached, state
+        return self._dataspace.result_cache.put(key, self._run(chosen, snap, k, relevant)), state
+
+    def _run(
+        self,
+        chosen: QueryPlan,
+        snap: "EngineSnapshot",
+        k: Optional[int],
+        relevant: MappingSubset,
+    ) -> PTQResult:
+        """The run half of the read step: run ``chosen`` and tell the planner."""
         ds = self._dataspace
-        cache = ds.result_cache if use_cache else None
-        state = "bypass"
-        if cache is not None:
-            key = self._result_key(chosen, k, snap)
-            cached, state = cache.lookup(key, relevant.mask, self.required_target_mask())
-            if cached is not None:
-                ds.planner.observe_cache_hit(self._cache_key)
-                return cached, state
         started = time.perf_counter()
         result = chosen.run(
             self._query,
@@ -285,9 +335,7 @@ class PreparedQuery:
             num_relevant=len(relevant),
             num_embeddings=len(self.embeddings),
         )
-        if cache is not None:
-            result = cache.put(key, result)
-        return result, state
+        return result
 
     def explain(
         self,

@@ -10,16 +10,21 @@ through the same :class:`~repro.api.handler.ApiHandler`, and encode the same
 canonical responses — so a server response is byte-identical to in-process
 execution by construction, a property the differential suite pins.
 
-Request execution happens on a thread pool (``run_in_executor``) against the
-thread-safe engine; the event loop only ever parses, queues and writes.
-Overload never manifests as a hang: admission control
-(:class:`~repro.net.admission.AdmissionController`) bounds in-flight and
-queued work and sheds the rest with typed
+The event loop parses, queues and writes, and it answers a query whose
+result is already cached: :meth:`ApiHandler.cached
+<repro.api.handler.ApiHandler.cached>` looks the answer up without waiting on
+the session lock, preparing a new text or evaluating, and the loop encodes
+and writes it.  Everything else (misses, streams, batches, explain, deltas,
+corpus-backed services) executes on a thread pool (``run_in_executor``)
+against the thread-safe engine.  Overload never manifests as a hang:
+admission control (:class:`~repro.net.admission.AdmissionController`) bounds
+in-flight and queued evaluations and sheds the rest with typed
 :class:`~repro.api.errors.OverloadedError` responses, and a per-request
 deadline turns stuck evaluations into typed
-:class:`~repro.api.errors.RequestTimeoutError` responses.  ``stop()`` drains:
-in-flight requests finish, queued and new ones are refused with
-:class:`~repro.api.errors.ShuttingDownError`.
+:class:`~repro.api.errors.RequestTimeoutError` responses.  A cached answer
+takes no admission slot and no deadline: it is never queued or shed.
+``stop()`` drains: in-flight requests finish, queued and new ones are refused
+with :class:`~repro.api.errors.ShuttingDownError`.
 """
 
 from __future__ import annotations
@@ -184,6 +189,7 @@ class ReproServer:
         self._connections_total = 0
         self._requests_binary = 0
         self._requests_http = 0
+        self._served_on_loop = 0
         self._stopping = False
         self._busy = 0
         self._quiet: Optional[asyncio.Event] = None
@@ -289,6 +295,7 @@ class ReproServer:
             "connections_total": self._connections_total,
             "requests_binary": self._requests_binary,
             "requests_http": self._requests_http,
+            "served_on_loop": self._served_on_loop,
             "request_timeout": self._request_timeout,
             "max_payload": self._max_payload,
         }
@@ -335,11 +342,17 @@ class ReproServer:
     async def _execute(self, request: Request, postprocess) -> object:
         """Admission, executor dispatch, deadline — shared by both transports.
 
-        ``postprocess`` runs on the worker thread, straight after the handler:
-        response *encoding* (the expensive part of cheap requests) happens off
-        the event loop, which stays a pure byte router.  Returns whatever
-        ``postprocess`` returns.
+        A non-streamed query whose answer is cached is answered here on the
+        loop, with no executor hop, admission slot or deadline.  Everything
+        else runs on a worker thread, where ``postprocess`` (the response
+        encoding) follows the handler.  Returns whatever ``postprocess``
+        returns.
         """
+        if isinstance(request, QueryRequest) and not request.stream and not self._stopping:
+            response = self._handler.cached(request)
+            if response is not None:
+                self._served_on_loop += 1
+                return postprocess(response)
 
         def job():
             return postprocess(self._handler.handle(request))
@@ -522,8 +535,8 @@ class ReproServer:
         initial snapshot included — as one ``OP_STREAM_ITEM`` frame carrying
         the canonical :func:`~repro.api.serialize.subscription_update_to_json`
         payload.  The engine's commit path delivers updates on writer
-        threads; the callback hops them onto the event loop through a queue,
-        so the loop stays a pure byte router.  The client ends the stream by
+        threads, where the callback encodes them and hops the bytes onto the
+        event loop through a queue.  The client ends the stream by
         sending ``OP_STREAM_END``; the server cancels the subscription,
         acknowledges with ``OP_STREAM_END``, and the connection returns to
         the normal request loop.  Returns ``True`` when the connection must

@@ -321,6 +321,27 @@ class QueryService:
         self._record(started, failed=False)
         return result
 
+    def cached(
+        self, query: str, *, k: Optional[int] = None, plan: "PlanSpec" = None
+    ) -> Optional["PTQResult"]:
+        """The cached answer to :meth:`execute`, or ``None`` — never evaluating.
+
+        A hit counts (and is timed) as one completed request; ``None``
+        counts nothing, so the caller's fallback to :meth:`execute` or
+        :meth:`submit` counts the request once.  Always ``None`` on a
+        corpus-backed, cache-less or closed service.  See
+        :meth:`PreparedQuery.cached <repro.engine.prepared.PreparedQuery.cached>`.
+        """
+        if self._corpus is not None or not self._use_cache or self._closed:
+            return None
+        started = time.perf_counter()
+        result = self._dataspace.cached(query, k=k, plan=plan)
+        if result is not None:
+            with self._lock:
+                self._submitted += 1
+            self._record(started, failed=False)
+        return result
+
     def submit(
         self, query: QueryLike, *, k: Optional[int] = None, plan: "PlanSpec" = None
     ) -> "Future[PTQResult]":

@@ -16,7 +16,10 @@ Covered here, per the serving contract (docs/serving.md):
   :class:`~repro.api.RequestTimeoutError`;
 * streamed top-k responses reassemble into exactly the unstreamed bytes;
 * and the differential pin: server response bytes are identical to
-  in-process :class:`~repro.api.ApiHandler` execution.
+  in-process :class:`~repro.api.ApiHandler` execution;
+* cached answers are served on the event loop: never queued or shed, counted
+  once, byte-identical to the executor path, and never served (nor the loop
+  blocked) while a writer holds or awaits the session lock.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ from repro.net.framing import (
     decode_header,
     encode_frame,
 )
-from repro.service import QueryService
+from repro.service import QueryService, workload_queries
+from repro.workloads.datasets import DATASET_IDS
 
 DATASET = "D1"
 H = 15
@@ -337,7 +341,12 @@ class TestDisconnects:
 # Admission control, deadlines, drain
 # --------------------------------------------------------------------------- #
 def make_slow(server: ReproServer, delay: float) -> None:
-    """Make query execution take ``delay`` seconds (runs on worker threads)."""
+    """Make query execution take ``delay`` seconds (runs on worker threads).
+
+    Only requests that evaluate go through ``handle``: a cached answer is
+    served on the event loop, so the tests below model slow evaluation by
+    sending their slow requests with ``use_cache=False``.
+    """
     handler = server._handler
     original = handler.handle
 
@@ -356,10 +365,10 @@ class TestAdmission:
         ) as harness:
             make_slow(harness.server, 1.0)
             with raw_socket(harness.port) as busy, raw_socket(harness.port) as shed:
-                send_request(busy, QueryRequest(query="Q1"))
+                send_request(busy, QueryRequest(query="Q1", use_cache=False))
                 time.sleep(0.1)  # the slow request now occupies the only slot
                 started = time.monotonic()
-                send_request(shed, QueryRequest(query="Q2"))
+                send_request(shed, QueryRequest(query="Q2", use_cache=False))
                 opcode, payload = recv_frame(shed)
                 elapsed = time.monotonic() - started
                 error = wire_error_of(payload)
@@ -379,11 +388,11 @@ class TestAdmission:
         with ServerHarness(service, max_inflight=1, max_queue=0) as harness:
             make_slow(harness.server, 1.0)
             with raw_socket(harness.port) as busy:
-                send_request(busy, QueryRequest(query="Q1"))
+                send_request(busy, QueryRequest(query="Q1", use_cache=False))
                 time.sleep(0.1)
                 with connect("127.0.0.1", harness.port) as client:
                     with pytest.raises(OverloadedError) as info:
-                        client.query("Q2")
+                        client.query("Q2", use_cache=False)
                     assert info.value.retry_after > 0
                 recv_frame(busy)
 
@@ -392,7 +401,7 @@ class TestAdmission:
         with ServerHarness(service, max_inflight=1, max_queue=0) as harness:
             make_slow(harness.server, 1.0)
             with raw_socket(harness.port) as busy:
-                send_request(busy, QueryRequest(query="Q1"))
+                send_request(busy, QueryRequest(query="Q1", use_cache=False))
                 time.sleep(0.1)
                 with connect("127.0.0.1", harness.port) as client:
                     client.health()
@@ -405,7 +414,7 @@ class TestAdmission:
         with ServerHarness(service, request_timeout=0.2) as harness:
             make_slow(harness.server, 1.5)
             with raw_socket(harness.port) as sock:
-                send_request(sock, QueryRequest(query="Q1"))
+                send_request(sock, QueryRequest(query="Q1", use_cache=False))
                 opcode, payload = recv_frame(sock)
                 assert opcode == OP_ERROR
                 assert wire_error_of(payload)["code"] == "timeout"
@@ -417,10 +426,10 @@ class TestAdmission:
         with ServerHarness(service, max_inflight=1, max_queue=0) as harness:
             make_slow(harness.server, 0.5)
             with raw_socket(harness.port) as busy, raw_socket(harness.port) as second:
-                send_request(busy, QueryRequest(query="Q1"))
+                send_request(busy, QueryRequest(query="Q1", use_cache=False))
                 time.sleep(0.1)
                 harness.call(_reconfigure(harness.server, max_inflight=2))
-                send_request(second, QueryRequest(query="Q2"))
+                send_request(second, QueryRequest(query="Q2", use_cache=False))
                 opcode, _ = recv_frame(second)
                 assert opcode == OP_RESPONSE
                 recv_frame(busy)
@@ -429,9 +438,9 @@ class TestAdmission:
         with ServerHarness(service, max_inflight=1, max_queue=4) as harness:
             make_slow(harness.server, 0.8)
             with raw_socket(harness.port) as busy, raw_socket(harness.port) as queued:
-                send_request(busy, QueryRequest(query="Q1"))
+                send_request(busy, QueryRequest(query="Q1", use_cache=False))
                 time.sleep(0.1)
-                send_request(queued, QueryRequest(query="Q2"))
+                send_request(queued, QueryRequest(query="Q2", use_cache=False))
                 time.sleep(0.1)  # now queued behind the slow request
                 stopper = threading.Thread(target=harness.stop)
                 stopper.start()
@@ -445,6 +454,184 @@ class TestAdmission:
                     assert opcode == OP_RESPONSE
                 finally:
                     stopper.join(15)
+
+
+# --------------------------------------------------------------------------- #
+# Cached answers served on the event loop
+# --------------------------------------------------------------------------- #
+def served_on_loop(server: ReproServer) -> int:
+    return server.server_stats()["served_on_loop"]
+
+
+def http_query_bytes(port: int, fields: dict) -> bytes:
+    """POST /v1/query and return the raw response body."""
+    body = canonical_json(fields)
+    head = (
+        f"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+    ).encode()
+    with raw_socket(port) as sock:
+        sock.sendall(head + body)
+        raw = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            raw += chunk
+    header, _, payload = raw.partition(b"\r\n\r\n")
+    assert header.startswith(b"HTTP/1.1 200"), header
+    return payload
+
+
+def assert_unanswered(sock: socket.socket, seconds: float = 0.2) -> None:
+    sock.settimeout(seconds)
+    try:
+        with pytest.raises(socket.timeout):
+            sock.recv(1, socket.MSG_PEEK)
+    finally:
+        sock.settimeout(30.0)
+
+
+class TestLoopServedHits:
+    def test_cached_query_is_answered_while_the_only_slot_is_busy(self, service):
+        request = QueryRequest(query="Q2", k=3)
+        expected = encode_message(ApiHandler(service).handle(request))  # warms the cache
+        with ServerHarness(service, max_inflight=1, max_queue=0) as harness:
+            make_slow(harness.server, 1.0)
+            with raw_socket(harness.port) as busy, raw_socket(harness.port) as hot:
+                send_request(busy, QueryRequest(query="Q1", use_cache=False))
+                time.sleep(0.1)  # the slow miss now occupies the only slot
+                started = time.monotonic()
+                send_request(hot, request)
+                opcode, payload = recv_frame(hot)
+                elapsed = time.monotonic() - started
+                # Answered, not shed, and not queued behind the 1s request.
+                assert opcode == OP_RESPONSE
+                assert payload == expected
+                assert elapsed < 0.5
+                stats = harness.server.server_stats()
+                assert stats["shed"] == 0
+                assert stats["served_on_loop"] == 1
+                opcode, _ = recv_frame(busy)
+                assert opcode == OP_RESPONSE
+
+    @pytest.mark.parametrize("dataset_id", DATASET_IDS)
+    def test_loop_executor_and_in_process_bytes_identical(self, dataset_id):
+        session = Dataspace.from_dataset(dataset_id, h=H)
+        with QueryService(session, max_workers=2) as svc, ServerHarness(svc) as harness:
+            handler = ApiHandler(svc)
+            with raw_socket(harness.port) as sock:
+                for query in workload_queries(dataset_id):
+                    for k in (None, 2):
+                        request = QueryRequest(query=query, k=k)
+                        fields = {"query": query} if k is None else {"query": query, "k": k}
+                        session.result_cache.clear()
+                        before = served_on_loop(harness.server)
+                        send_request(sock, request)
+                        _, binary_miss = recv_frame(sock)
+                        send_request(sock, request)
+                        _, binary_hit = recv_frame(sock)
+                        http_hit = http_query_bytes(harness.port, fields)
+                        session.result_cache.clear()
+                        http_miss = http_query_bytes(harness.port, fields)
+                        assert served_on_loop(harness.server) - before == 2, (query, k)
+                        expected = encode_message(handler.handle(request))
+                        assert binary_miss == expected, (query, k)
+                        assert binary_hit == expected, (query, k)
+                        assert http_hit == expected, (query, k)
+                        assert http_miss == expected, (query, k)
+
+    def test_each_request_counts_once(self, dataspace, service, harness):
+        hits = 5
+        request = QueryRequest(query="Q1", k=4)
+        with raw_socket(harness.port) as sock:
+            send_request(sock, request)
+            recv_frame(sock)  # warm
+            key = dataspace.prepare("Q1").cache_key
+            cache, stats = dataspace.result_cache.stats(), service.stats()
+            planner_hits = dataspace.planner.statistics(key).cache_hits
+            loop = served_on_loop(harness.server)
+            for _ in range(hits):
+                send_request(sock, request)
+                assert recv_frame(sock)[0] == OP_RESPONSE
+            after_cache, after_stats = dataspace.result_cache.stats(), service.stats()
+            assert after_cache.hits - cache.hits == hits
+            assert after_cache.misses == cache.misses
+            assert after_stats["submitted"] - stats["submitted"] == hits
+            assert after_stats["completed"] - stats["completed"] == hits
+            assert dataspace.planner.statistics(key).cache_hits - planner_hits == hits
+            assert served_on_loop(harness.server) - loop == hits
+            # One miss: probed on the loop uncounted, counted once by the executor.
+            send_request(sock, QueryRequest(query="Q1", k=13))
+            assert recv_frame(sock)[0] == OP_RESPONSE
+            missed_cache, missed_stats = dataspace.result_cache.stats(), service.stats()
+            assert missed_cache.misses - after_cache.misses == 1
+            assert missed_cache.hits == after_cache.hits
+            assert missed_stats["completed"] - after_stats["completed"] == 1
+            assert served_on_loop(harness.server) - loop == hits
+
+    @pytest.mark.parametrize("writer", ["holds", "awaits"])
+    def test_writer_stops_loop_serving_but_not_the_loop(
+        self, dataspace, service, harness, writer
+    ):
+        request = QueryRequest(query="Q3", k=2)
+        expected = encode_message(ApiHandler(service).handle(request))  # warms the cache
+        lock = dataspace._lock
+        waiting = None
+        if writer == "holds":
+            lock.acquire_write()
+            release = lock.release_write
+        else:
+            lock.acquire_read()  # the writer below queues behind this reader
+            waiting = threading.Thread(
+                target=lambda: (lock.acquire_write(), lock.release_write())
+            )
+            waiting.start()
+            deadline = time.monotonic() + 5.0
+            while lock._waiting_writers == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert lock._waiting_writers == 1
+            release = lock.release_read
+        try:
+            with raw_socket(harness.port) as sock, raw_socket(harness.port) as control:
+                before = served_on_loop(harness.server)
+                send_request(sock, request)
+                started = time.monotonic()
+                control.sendall(encode_frame(OP_PING))
+                assert recv_frame(control) == (OP_PONG, b"")
+                assert time.monotonic() - started < 0.1
+                assert_unanswered(sock)
+                assert served_on_loop(harness.server) == before
+                release()
+                release = None
+                opcode, payload = recv_frame(sock)
+                assert opcode == OP_RESPONSE
+                assert payload == expected
+                assert served_on_loop(harness.server) == before
+        finally:
+            if release is not None:
+                release()
+            if waiting is not None:
+                waiting.join(10)
+                assert not waiting.is_alive()
+
+    def test_unseen_text_is_prepared_off_the_loop(self, dataspace, harness, monkeypatch):
+        text = "purchaseOrder/orderHeader"
+        assert dataspace.cached(text) is None
+        threads = []
+        original = dataspace.prepare
+
+        def recording_prepare(query):
+            threads.append(threading.current_thread())
+            return original(query)
+
+        monkeypatch.setattr(dataspace, "prepare", recording_prepare)
+        before = served_on_loop(harness.server)
+        with raw_socket(harness.port) as sock:
+            send_request(sock, QueryRequest(query=text, k=2))
+            assert recv_frame(sock)[0] == OP_RESPONSE
+        assert served_on_loop(harness.server) == before
+        assert threads and harness.thread not in threads
 
 
 async def _reconfigure(server: ReproServer, **kwargs) -> None:
@@ -572,9 +759,9 @@ class TestHttp:
         ) as harness:
             make_slow(harness.server, 1.0)
             with raw_socket(harness.port) as busy:
-                send_request(busy, QueryRequest(query="Q1"))
+                send_request(busy, QueryRequest(query="Q1", use_cache=False))
                 time.sleep(0.1)
-                body = canonical_json({"query": "Q2"})
+                body = canonical_json({"query": "Q2", "use_cache": False})
                 head = (
                     f"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
                     f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repro.api.errors import BadRequestError
 from repro.api.serialize import (
     QueryAnswer,
     QueryResult,
@@ -94,6 +95,39 @@ class TestQueryAnswerView:
         )
         assert QueryAnswer.from_json(answer.to_json()) == answer
         assert answer.probability == 0.25
+
+    def test_answer_decodes_pairs_as_int_tuples(self):
+        matches = [[[0, 7], [2, 9]], [[1, 3]]]
+        payload = {"mapping_id": 4, "probability": (0.5).hex(), "matches": matches}
+        answer = QueryAnswer.from_json(payload)
+        assert answer.matches == (((0, 7), (2, 9)), ((1, 3),))
+        assert answer.to_json() == payload
+
+    @pytest.mark.parametrize(
+        "matches",
+        [
+            pytest.param([[[0, 1, 2]]], id="three-item-pair"),
+            pytest.param([[[0]]], id="one-item-pair"),
+            pytest.param([[[]]], id="empty-pair"),
+            pytest.param([[["x", 1]]], id="non-integer-query-node"),
+            pytest.param([[[0, None]]], id="null-doc-node"),
+            pytest.param([[5]], id="non-list-pair"),
+            pytest.param([7], id="non-list-match"),
+            pytest.param({}, id="object-matches"),
+            pytest.param("01", id="string-matches"),
+            pytest.param(None, id="null-matches"),
+        ],
+    )
+    def test_malformed_matches_are_bad_requests(self, matches):
+        payload = {"mapping_id": 0, "probability": (0.5).hex(), "matches": matches}
+        with pytest.raises(BadRequestError, match="malformed answer payload"):
+            QueryAnswer.from_json(payload)
+
+    def test_missing_fields_are_bad_requests(self):
+        with pytest.raises(BadRequestError):
+            QueryAnswer.from_json({"mapping_id": 0, "probability": (0.5).hex()})
+        with pytest.raises(BadRequestError):
+            QueryAnswer.from_json({"probability": (0.5).hex(), "matches": []})
 
     def test_result_view_iterates(self):
         result = QueryResult(

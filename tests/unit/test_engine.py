@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.engine import (
@@ -16,6 +19,7 @@ from repro.engine import (
     available_plans,
     plan_for,
 )
+from repro.engine.locking import ReadWriteLock
 from repro.exceptions import DataspaceError, QueryError
 from repro.matching.matcher import MatcherConfig
 from repro.mapping.mapping import Mapping
@@ -270,6 +274,121 @@ class TestPreparedQueries:
         hits = figure_dataspace.result_cache.stats().hits
         figure_dataspace.execute(SCN_QUERY)  # the promoted entry serves execute()
         assert figure_dataspace.result_cache.stats().hits == hits + 1
+
+
+# --------------------------------------------------------------------------- #
+# The lookup half alone: PreparedQuery.cached
+# --------------------------------------------------------------------------- #
+def waiting_writer(lock):
+    """Start a writer that queues behind the caller's read lock; returns its thread."""
+    writer = threading.Thread(target=lambda: (lock.acquire_write(), lock.release_write()))
+    writer.start()
+    deadline = time.monotonic() + 5.0
+    while lock._waiting_writers == 0 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert lock._waiting_writers == 1
+    return writer
+
+
+class TestNonBlockingRead:
+    def test_free_lock_is_acquired(self):
+        lock = ReadWriteLock()
+        assert lock.acquire_read(blocking=False) is True
+        assert lock._active_readers == 1
+        lock.release_read()
+
+    def test_active_writer_refuses_without_blocking(self):
+        lock = ReadWriteLock()
+        lock.acquire_write()
+        started = time.monotonic()
+        assert lock.acquire_read(blocking=False) is False
+        assert time.monotonic() - started < 0.1
+        assert lock._active_readers == 0
+        lock.release_write()
+
+    def test_waiting_writer_refuses_without_blocking(self):
+        lock = ReadWriteLock()
+        lock.acquire_read()
+        writer = waiting_writer(lock)
+        started = time.monotonic()
+        assert lock.acquire_read(blocking=False) is False
+        assert time.monotonic() - started < 0.1
+        assert lock._active_readers == 1
+        lock.release_read()
+        writer.join(5)
+        assert not writer.is_alive()
+
+
+class TestCachedLookup:
+    def test_hit_counts_like_execute_and_miss_counts_nothing(self, figure_dataspace):
+        ds = figure_dataspace
+        prepared = ds.prepare(ICN_QUERY)
+        assert prepared.cached() is None  # unresolved: no resolve on the lookup path
+        assert prepared.resolve_count == 0
+        result = prepared.execute()
+        before = ds.result_cache.stats()
+        planner_hits = ds.planner.statistics(prepared.cache_key).cache_hits
+        assert prepared.cached(k=2) is None
+        assert ds.result_cache.stats() == before
+        assert prepared.cached() is result
+        after = ds.result_cache.stats()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert ds.planner.statistics(prepared.cache_key).cache_hits == planner_hits + 1
+        assert ds.cached(ICN_QUERY) is result
+
+    def test_unseen_text_is_never_parsed_or_prepared(self, figure_dataspace, monkeypatch):
+        import repro.engine.dataspace as dataspace_module
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the lookup path must not parse")
+
+        monkeypatch.setattr(dataspace_module, "parse_twig", no_parse)
+        prepared_before = len(figure_dataspace._prepared)
+        assert figure_dataspace.cached(SCN_QUERY) is None
+        assert len(figure_dataspace._prepared) == prepared_before
+
+    def test_tree_plan_never_builds_the_tree(self, figure_dataspace):
+        figure_dataspace.prepare(ICN_QUERY).execute()
+        assert figure_dataspace.cached(ICN_QUERY, plan="blocktree") is None
+        assert not figure_dataspace.describe()["block_tree_built"]
+
+    @pytest.mark.parametrize("writer", ["holds", "awaits"])
+    def test_writer_makes_the_lookup_step_aside(self, figure_dataspace, writer):
+        ds = figure_dataspace
+        result = ds.execute(ICN_QUERY)
+        lock = ds._lock
+        started = time.monotonic()
+        if writer == "holds":
+            lock.acquire_write()
+            assert ds.cached(ICN_QUERY) is None
+            lock.release_write()
+        else:
+            lock.acquire_read()
+            thread = waiting_writer(lock)
+            started = time.monotonic()
+            assert ds.cached(ICN_QUERY) is None
+            lock.release_read()
+            thread.join(5)
+        assert time.monotonic() - started < 0.5
+        assert ds.cached(ICN_QUERY) is result
+
+    def test_reweight_defers_retention_to_execute(self, figure_dataspace, figure_mappings):
+        ds = figure_dataspace
+        ds.execute(SCN_QUERY)  # relevant: mapping 2 only
+        ds.apply_delta(
+            MappingDelta.build(
+                reweight={0: figure_mappings[3].probability, 3: figure_mappings[0].probability}
+            )
+        )
+        before = ds.result_cache.stats()
+        # Without the relevant-mapping mask any reweight counts as touching
+        # the query: the lookup step steps aside, uncounted ...
+        assert ds.cached(SCN_QUERY) is None
+        assert ds.result_cache.stats() == before
+        # ... and execute() proves the entry still valid and retains it.
+        retained = ds.execute(SCN_QUERY)
+        assert ds.result_cache.stats().retained == before.retained + 1
+        assert ds.cached(SCN_QUERY) is retained
 
 
 # --------------------------------------------------------------------------- #
