@@ -20,7 +20,13 @@ import statistics
 import time
 
 from repro.core.blocktree import BlockTreeConfig, build_block_tree
+from repro.document.document import XMLDocument
+from repro.engine import Dataspace
+from repro.mapping.mapping import Mapping
+from repro.mapping.mapping_set import MappingSet
+from repro.matching.matching import SchemaMatching
 from repro.query.ptq import evaluate_ptq_basic, evaluate_ptq_blocktree
+from repro.schema.schema import Schema
 from repro.workloads.datasets import build_mapping_set, load_dataset, load_source_document
 from repro.workloads.queries import load_query
 
@@ -35,7 +41,16 @@ __all__ = [
     "time_query",
     "evaluate_ptq_basic",
     "evaluate_ptq_blocktree",
+    "CATALOGUE_QUERIES",
+    "build_catalogue",
 ]
+
+#: Join-heavy twig queries over the generated catalogue (target labels).
+CATALOGUE_QUERIES = (
+    "//PRODUCT[./QTY]/NAME",
+    "//SECTION//NAME",
+    "//PRODUCT/NAME",
+)
 
 
 def bench_h(default: int = 50) -> int:
@@ -117,3 +132,85 @@ def ratio_spread(pairs: list[tuple[float, float]]) -> dict[str, float]:
         "max": round(max(ratios), 3),
         "rounds": len(ratios),
     }
+
+
+def build_catalogue(num_sections: int = 32, num_products: int = 10) -> Dataspace:
+    """One deterministic high-fanout session: schemas, matching, document.
+
+    A catalogue document of ``num_sections`` repeatable sections of
+    ``num_products`` repeatable products, under an ambiguous matching whose
+    six mappings disagree on the leaf correspondences.  Every query of
+    :data:`CATALOGUE_QUERIES` joins candidates that number in the hundreds
+    per section count, which is what makes the workload show how twig
+    matching scales with the document.
+    """
+    source = Schema("catalog-src")
+    catalog = source.add_root("Catalog")
+    section = source.add_child(catalog, "Section", repeatable=True)
+    product = source.add_child(section, "Product", repeatable=True)
+    name = source.add_child(product, "Name")
+    code = source.add_child(product, "Code")
+    qty = source.add_child(product, "Qty")
+    price = source.add_child(product, "Price")
+    source.freeze()
+
+    target = Schema("catalog-tgt")
+    t_catalog = target.add_root("CATALOG")
+    t_section = target.add_child(t_catalog, "SECTION", repeatable=True)
+    t_product = target.add_child(t_section, "PRODUCT", repeatable=True)
+    t_name = target.add_child(t_product, "NAME")
+    t_qty = target.add_child(t_product, "QTY")
+    target.freeze()
+
+    matching = SchemaMatching(source, target, name="catalog")
+    pairs = [
+        (catalog, t_catalog, 0.95),
+        (section, t_section, 0.90),
+        (product, t_product, 0.90),
+        (name, t_name, 0.80),
+        (code, t_name, 0.60),
+        (qty, t_qty, 0.80),
+        (price, t_qty, 0.50),
+    ]
+    for source_element, target_element, score in pairs:
+        matching.add_pair(source_element.element_id, target_element.element_id, score)
+
+    structural = [(catalog, t_catalog), (section, t_section), (product, t_product)]
+
+    def mapping(mapping_id: int, leaves, score: float) -> Mapping:
+        keys = frozenset(
+            (s.element_id, t.element_id) for s, t in structural + leaves
+        )
+        return Mapping(mapping_id, keys, score=score)
+
+    mappings = [
+        mapping(0, [(name, t_name), (qty, t_qty)], 4.0),
+        mapping(1, [(name, t_name), (price, t_qty)], 2.0),
+        mapping(2, [(code, t_name), (qty, t_qty)], 2.0),
+        mapping(3, [(code, t_name), (price, t_qty)], 1.0),
+        mapping(4, [(name, t_name)], 0.5),
+        mapping(5, [(qty, t_qty)], 0.5),
+    ]
+    mapping_set = MappingSet(matching, mappings)
+
+    document = XMLDocument(source, "catalog.xml")
+    root = document.add_root(catalog.element_id)
+    for section_index in range(num_sections):
+        section_node = document.add_child(root, section.element_id)
+        for product_index in range(num_products):
+            product_node = document.add_child(section_node, product.element_id)
+            document.add_child(
+                product_node, name.element_id,
+                value=f"item-{section_index}-{product_index}",
+            )
+            document.add_child(
+                product_node, code.element_id,
+                value=f"c{section_index * num_products + product_index}",
+            )
+            document.add_child(product_node, qty.element_id, value=str(product_index + 1))
+            document.add_child(product_node, price.element_id, value="9.99")
+    document.finalize()
+
+    return Dataspace.from_mapping_set(
+        mapping_set, document=document, name="catalog-bench"
+    )

@@ -10,7 +10,7 @@ mappings from a scored schema matching.
 The primary API is the engine facade: a :class:`Dataspace` session owns the
 pipeline artifacts (matching → top-h mapping set → block tree → document),
 builds and caches them lazily, and answers queries through a fluent builder
-that picks an evaluation plan automatically::
+that evaluates on the compiled plan unless another plan is forced::
 
     import repro
 
@@ -18,7 +18,7 @@ that picks an evaluation plan automatically::
     result = ds.query("Order/DeliverTo/Contact/EMail").top_k(10).execute()
     for answer in result:
         print(answer.mapping_id, answer.probability, len(answer.matches))
-    print(ds.query("Q7").explain().format())   # plan chosen, inputs, timings
+    print(ds.query("Q7").explain().format())   # plan, inputs, timings
 
 Sessions are thread-safe, and the service layer turns one into a serving
 component: :class:`QueryService` fans queries over a thread pool with
@@ -29,7 +29,7 @@ a stale generation::
     with repro.QueryService(ds, max_workers=8) as service:
         results = service.execute_many(["Q1", "Q2", "Q7"], k=10)
 
-The network layer serves a session (or sharded corpus) over TCP with
+The network layer serves a session over TCP with
 admission control, and the typed client speaks the same API remotely with
 the same result shapes and the same exceptions::
 
@@ -136,17 +136,9 @@ from repro.workloads import (
     load_dataset,
     load_query,
     load_source_document,
-    open_corpus,
     open_dataspace,
     standard_datasets,
     standard_queries,
-)
-from repro.corpus import (
-    CorpusAnswer,
-    CorpusExecution,
-    ShardDocument,
-    ShardedCorpus,
-    partition_document,
 )
 from repro.engine import (
     BasicPlan,
@@ -300,12 +292,6 @@ __all__ = [
     "plan_for",
     "register_plan",
     "available_plans",
-    # sharded corpus
-    "ShardedCorpus",
-    "ShardDocument",
-    "CorpusAnswer",
-    "CorpusExecution",
-    "partition_document",
     # service layer
     "QueryService",
     "ResultCache",
@@ -380,5 +366,4 @@ __all__ = [
     "load_query",
     "standard_queries",
     "open_dataspace",
-    "open_corpus",
 ]

@@ -29,8 +29,6 @@ from repro.api.messages import (
     PROTOCOL_VERSION,
     BatchRequest,
     BatchResponse,
-    CalibrateRequest,
-    CalibrateResponse,
     DeltaBatchRequest,
     DeltaBatchResponse,
     DeltaRequest,
@@ -61,8 +59,6 @@ from repro.api.serialize import (
     delta_batch_report_to_json,
     delta_report_from_json,
     delta_report_to_json,
-    execution_from_json,
-    execution_to_json,
     explain_from_json,
     explain_to_json,
     result_from_json,
@@ -94,7 +90,6 @@ __all__ = [
     "DeltaBatchRequest",
     "SubscribeRequest",
     "ExplainRequest",
-    "CalibrateRequest",
     "StatsRequest",
     "PingRequest",
     "Response",
@@ -103,7 +98,6 @@ __all__ = [
     "DeltaResponse",
     "DeltaBatchResponse",
     "ExplainResponse",
-    "CalibrateResponse",
     "StatsResponse",
     "PingResponse",
     "ErrorResponse",
@@ -129,6 +123,4 @@ __all__ = [
     "delta_batch_report_from_json",
     "subscription_update_to_json",
     "subscription_update_from_json",
-    "execution_to_json",
-    "execution_from_json",
 ]

@@ -18,8 +18,6 @@ from repro.api.errors import BadRequestError
 from repro.api.messages import (
     BatchRequest,
     BatchResponse,
-    CalibrateRequest,
-    CalibrateResponse,
     DeltaBatchRequest,
     DeltaBatchResponse,
     DeltaRequest,
@@ -93,8 +91,6 @@ class ApiHandler:
             )
         if isinstance(request, ExplainRequest):
             return self.explain(request)
-        if isinstance(request, CalibrateRequest):
-            return self.calibrate(request)
         if isinstance(request, StatsRequest):
             return self.stats(request)
         if isinstance(request, PingRequest):
@@ -112,11 +108,8 @@ class ApiHandler:
         if use_cache:
             return self._service.execute(query, k=k, plan=plan)
         # A per-request cache bypass steps around the service (whose cache
-        # policy is fixed at construction) straight onto the session/corpus;
+        # policy is fixed at construction) straight onto the session;
         # results are byte-identical either way, only timing stats differ.
-        corpus = self._service.corpus
-        if corpus is not None:
-            return corpus.execute(query, k=k, use_cache=False)
         return self._service.dataspace.execute(query, k=k, plan=plan, use_cache=False)
 
     def query(self, request: QueryRequest) -> QueryResponse:
@@ -147,13 +140,9 @@ class ApiHandler:
         if request.use_cache:
             results = self._service.execute_many(queries, k=request.k, plan=request.plan)
         else:
-            corpus = self._service.corpus
-            if corpus is not None:
-                results = corpus.execute_batch(queries, k=request.k, use_cache=False)
-            else:
-                results = self._service.dataspace.query_batch(
-                    queries, k=request.k, plan=request.plan, use_cache=False
-                )
+            results = self._service.dataspace.query_batch(
+                queries, k=request.k, plan=request.plan, use_cache=False
+            )
         return BatchResponse(queries=tuple(queries), results=tuple(results))
 
     def apply_delta(self, request: DeltaRequest) -> DeltaResponse:
@@ -183,26 +172,11 @@ class ApiHandler:
         return DeltaBatchResponse(report=delta_batch_report_to_json(report))
 
     def explain(self, request: ExplainRequest) -> ExplainResponse:
-        """Explain (optionally analyze) one query against the session."""
+        """Explain one query against the session."""
         if not request.query:
             raise BadRequestError("'query' must be a non-empty string")
-        report = self._service.dataspace.explain(
-            request.query, k=request.k, plan=request.plan, analyze=request.analyze
-        )
+        report = self._service.dataspace.explain(request.query, k=request.k, plan=request.plan)
         return ExplainResponse(report=explain_to_json(report))
-
-    def calibrate(self, request: CalibrateRequest) -> CalibrateResponse:
-        """Measure candidate strategies to warm the session's cost model."""
-        if not request.query:
-            raise BadRequestError("'query' must be a non-empty string")
-        timings = self._service.dataspace.calibrate(
-            request.query,
-            k=request.k,
-            plans=list(request.plans) if request.plans is not None else None,
-        )
-        return CalibrateResponse(
-            timings={name: round(float(ms), 3) for name, ms in timings.items()}
-        )
 
     def stats(self, request: StatsRequest) -> StatsResponse:
         """Service counters plus (when attached) the server's own counters."""
@@ -215,7 +189,7 @@ class ApiHandler:
 def _coerce_service(
     target: Union["QueryService", object], *, use_cache: bool = True
 ) -> tuple["QueryService", bool]:
-    """Wrap a Dataspace/ShardedCorpus in a service; pass services through.
+    """Wrap a Dataspace in a service; pass services through.
 
     Returns ``(service, owned)`` — ``owned`` tells the caller whether it is
     responsible for closing the service it received.

@@ -1,7 +1,7 @@
 """The versioned, transport-neutral wire schema: typed requests and responses.
 
 Every operation the system serves — ``query``, ``batch``, ``apply-delta``,
-``explain``, ``calibrate``, ``stats``, ``ping`` — is described by one frozen
+``explain``, ``stats``, ``ping`` — is described by one frozen
 request dataclass and one frozen response dataclass, with a canonical JSON
 codec.  The same types are used by every surface: the asyncio server decodes
 requests and encodes responses with them, the sync client does the reverse,
@@ -35,7 +35,6 @@ __all__ = [
     "DeltaBatchRequest",
     "SubscribeRequest",
     "ExplainRequest",
-    "CalibrateRequest",
     "StatsRequest",
     "PingRequest",
     "Response",
@@ -44,7 +43,6 @@ __all__ = [
     "DeltaResponse",
     "DeltaBatchResponse",
     "ExplainResponse",
-    "CalibrateResponse",
     "StatsResponse",
     "PingResponse",
     "ErrorResponse",
@@ -314,17 +312,6 @@ class ExplainRequest(Request):
     query: str = ""
     k: Optional[int] = None
     plan: Optional[str] = None
-    analyze: bool = False
-
-
-@dataclass(frozen=True)
-class CalibrateRequest(Request):
-    """Measure every candidate strategy once to warm the server's planner."""
-
-    op: ClassVar[str] = "calibrate"
-    query: str = ""
-    k: Optional[int] = None
-    plans: Optional[tuple[str, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -402,14 +389,6 @@ class ExplainResponse(Response):
 
 
 @dataclass(frozen=True)
-class CalibrateResponse(Response):
-    """Measured per-strategy latencies, as ``{strategy: latency_ms}``."""
-
-    op: ClassVar[str] = "calibrate"
-    timings: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class StatsResponse(Response):
     """Service counters, latency percentiles, cache/session statistics, and
     the server's admission-control and connection counters."""
@@ -454,7 +433,6 @@ _REQUEST_TYPES: dict[str, Type[Request]] = {
         DeltaBatchRequest,
         SubscribeRequest,
         ExplainRequest,
-        CalibrateRequest,
         StatsRequest,
         PingRequest,
     )
@@ -468,7 +446,6 @@ _RESPONSE_TYPES: dict[str, Type[Response]] = {
         DeltaResponse,
         DeltaBatchResponse,
         ExplainResponse,
-        CalibrateResponse,
         StatsResponse,
         PingResponse,
         ErrorResponse,

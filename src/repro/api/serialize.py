@@ -17,9 +17,8 @@ server differential suite both pin it.
 The ``from_json`` side decodes payloads into light, typed views
 (:class:`QueryAnswer` / :class:`QueryResult`) or reconstructed engine
 dataclasses (:class:`~repro.engine.plans.ExplainReport`,
-:class:`~repro.engine.delta.DeltaReport`,
-:class:`~repro.corpus.engine.CorpusExecution`), so remote callers work with
-the same shapes in-process callers do.
+:class:`~repro.engine.delta.DeltaReport`), so remote callers work with the
+same shapes in-process callers do.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.api.errors import BadRequestError
 from repro.store.artifacts import canonical_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.corpus.engine import CorpusExecution
     from repro.engine.delta import DeltaReport
     from repro.engine.plans import ExplainReport
     from repro.engine.streaming import DeltaBatchReport, SubscriptionUpdate
@@ -55,8 +53,6 @@ __all__ = [
     "delta_batch_report_from_json",
     "subscription_update_to_json",
     "subscription_update_from_json",
-    "execution_to_json",
-    "execution_from_json",
 ]
 
 
@@ -277,8 +273,6 @@ def explain_from_json(payload: dict) -> "ExplainReport":
             cache_stats=payload.get("cache_stats"),
             compiled_stats=payload.get("compiled_stats"),
             artifacts=payload.get("artifacts"),
-            planner=payload.get("planner"),
-            analyze=payload.get("analyze"),
         )
     except (KeyError, TypeError) as exc:
         raise BadRequestError(f"malformed explain payload: {exc}") from exc
@@ -483,90 +477,3 @@ def subscription_update_from_json(payload: dict) -> SubscriptionEvent:
     """Decode a canonical notification payload into a
     :class:`SubscriptionEvent` view."""
     return SubscriptionEvent.from_json(payload)
-
-
-# --------------------------------------------------------------------------- #
-# Corpus executions
-# --------------------------------------------------------------------------- #
-def execution_to_json(execution: "CorpusExecution") -> dict:
-    """Canonical payload of a scatter-gather execution account.
-
-    Extends :meth:`~repro.corpus.engine.CorpusExecution.to_dict` with the
-    full canonical matches of every globally ranked answer (``to_dict``
-    summarises them by count), so the payload round-trips through
-    :func:`execution_from_json` without loss.
-    """
-    payload = execution.to_dict()
-    payload["answers"] = [
-        {
-            "dataset": answer.dataset,
-            "mapping_id": answer.mapping_id,
-            "probability": float(answer.probability).hex(),
-            "matches": sorted(
-                [list(pair) for pair in match] for match in answer.matches
-            ),
-        }
-        for answer in execution.answers
-    ]
-    return payload
-
-
-def execution_from_json(payload: dict) -> "CorpusExecution":
-    """Reconstruct a :class:`~repro.corpus.engine.CorpusExecution` from its
-    canonical payload.
-
-    The wire view carries the execution account and the globally ranked
-    answers; the per-dataset ``results`` mapping (full in-process
-    :class:`~repro.query.results.PTQResult` objects) is not transmitted and
-    comes back empty.
-    """
-    from repro.corpus.engine import CorpusAnswer, CorpusExecution, ShardReport
-
-    try:
-        shard_reports = tuple(
-            ShardReport(
-                shard_id=row["shard_id"],
-                dataset=row["dataset"],
-                status=row["status"],
-                num_nodes=row["num_nodes"],
-                num_subtrees=row["num_subtrees"],
-                groups=row["groups"],
-                pruned=row["pruned"],
-                deferred=row["deferred"],
-                matches=row["matches"],
-                elapsed_ms=row["elapsed_ms"],
-            )
-            for row in payload["shards"]
-        )
-        answers = tuple(
-            CorpusAnswer(
-                dataset=row["dataset"],
-                mapping_id=int(row["mapping_id"]),
-                probability=float.fromhex(row["probability"]),
-                matches=frozenset(
-                    tuple((int(pair[0]), int(pair[1])) for pair in match)
-                    for match in row["matches"]
-                ),
-            )
-            for row in payload["answers"]
-        )
-        return CorpusExecution(
-            query=payload["query"],
-            k=payload["k"],
-            num_shards=payload["num_shards"],
-            fan_out=payload["fan_out"],
-            skipped_bound=payload["skipped_bound"],
-            skipped_empty=payload["skipped_empty"],
-            skipped_local=payload["skipped_local"],
-            spine_rewrites=payload["spine_rewrites"],
-            merged_answers=payload["merged_answers"],
-            duplicate_matches=payload["duplicate_matches"],
-            cache=payload["cache"],
-            generations=tuple(tuple(item) for item in payload["generations"]),
-            elapsed_ms=payload["elapsed_ms"],
-            shard_reports=shard_reports,
-            results={},
-            answers=answers,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadRequestError(f"malformed execution payload: {exc}") from exc

@@ -11,8 +11,6 @@ The CLI exposes the engine's pipeline for quick, scriptable inspection::
     python -m repro query D7 Q7                  # evaluate one of the paper's queries
     python -m repro query D7 "Order/DeliverTo/Contact/EMail" --top-k 10
     python -m repro batch D7 Q1 Q2 Q7 --workers 8 --repeat 3
-    python -m repro corpus D7 Q2 Q7 --shards 4   # scatter-gather over shards
-    python -m repro corpus D1,D2,D7 "//ContactName" --top-k 5
     python -m repro delta D7 Q1 Q7 --touch 10    # incremental mapping delta
     python -m repro explain D7 Q7                # which plan would run, and why
     python -m repro serve D7 --port 8750         # network server (see docs/serving.md)
@@ -42,7 +40,6 @@ from typing import Optional, Sequence
 
 from repro.api.serialize import (
     delta_report_to_json,
-    execution_to_json,
     explain_to_json,
     result_to_json,
     value_distribution_to_json,
@@ -123,26 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--json", action="store_true",
                        help="emit results and service statistics as a JSON object")
 
-    corpus = subparsers.add_parser(
-        "corpus",
-        help="evaluate queries on a sharded corpus (scatter-gather over shards)",
-    )
-    corpus.add_argument(
-        "dataset",
-        help="dataset id (subtree-sharded), or comma-separated ids for a "
-             "multi-dataset corpus (e.g. D1,D2,D7)",
-    )
-    corpus.add_argument("queries", nargs="+",
-                        help="query ids (Q1..Q10) and/or twig pattern strings")
-    corpus.add_argument("--shards", type=int, default=4,
-                        help="shards per dataset document (default 4)")
-    corpus.add_argument("--num-mappings", type=int, default=100)
-    corpus.add_argument("--top-k", type=int, default=None)
-    corpus.add_argument("--no-cache", action="store_true",
-                        help="bypass the sessions' result caches")
-    corpus.add_argument("--json", action="store_true",
-                        help="emit per-query scatter-gather reports as a JSON object")
-
     delta = subparsers.add_parser(
         "delta",
         help="apply an incremental mapping delta and show surviving-cache statistics",
@@ -169,8 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--top-k", type=int, default=None)
     explain.add_argument("--algorithm", "--plan", dest="algorithm", default="auto",
                          metavar="PLAN", help=plan_help)
-    explain.add_argument("--analyze", action="store_true",
-                         help="also report estimated vs. actual execution metrics")
     explain.add_argument("--json", action="store_true",
                          help="emit the report as a JSON object")
 
@@ -198,9 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="listen port (default 0: pick a free port and print it)")
     serve.add_argument("--num-mappings", type=int, default=100)
-    serve.add_argument("--shards", type=int, default=0,
-                       help="serve a sharded corpus with this many shards "
-                            "(default 0: plain session)")
     serve.add_argument("--max-inflight", type=int, default=None,
                        help="admission cap on concurrently executing requests "
                             "(default: the service's worker-pool size)")
@@ -352,13 +324,8 @@ def _cmd_query(args, out) -> int:
         builder = builder.top_k(args.top_k)
     # Build the artifacts the chosen plan needs outside the timed window, as
     # the paper does: the reported time measures evaluation, not one-time
-    # matching/mapping/document construction.  Without a forced plan that is
-    # the cost model's decision, the one execute() runs.
-    chosen = plan_for(
-        plan
-        if plan is not None
-        else session.plan_decision(builder.prepared, collect_statistics=False).plan_name
-    )
+    # matching/mapping/document construction.
+    chosen = plan_for(plan if plan is not None else session.plan_decision(builder.prepared))
     session.snapshot(need_tree=chosen.uses_block_tree)
     if chosen.uses_compiled:
         session.compiled
@@ -448,43 +415,6 @@ def _cmd_batch(args, out) -> int:
     return 0
 
 
-def _cmd_corpus(args, out) -> int:
-    from repro.workloads import open_corpus
-
-    dataset_ids = [item.strip().upper() for item in args.dataset.split(",") if item.strip()]
-    corpus = open_corpus(
-        dataset_ids[0] if len(dataset_ids) == 1 else dataset_ids,
-        shards=args.shards,
-        h=args.num_mappings,
-    )
-    use_cache = not args.no_cache
-    executions = [
-        corpus.gather(query, k=args.top_k, use_cache=use_cache)
-        for query in args.queries
-    ]
-
-    if args.json:
-        payload = {
-            "datasets": dataset_ids,
-            "shards": args.shards,
-            "num_shards": corpus.num_shards,
-            "num_mappings": args.num_mappings,
-            "top_k": args.top_k,
-            "queries": [execution_to_json(execution) for execution in executions],
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
-        return 0
-
-    out.write(
-        f"corpus {corpus.name}: {corpus.num_shards} shards over "
-        f"{len(dataset_ids)} dataset(s), |M|={args.num_mappings}\n"
-    )
-    for query, execution in zip(args.queries, executions):
-        out.write(f"\n== {query}\n")
-        out.write(execution.format() + "\n")
-    return 0
-
-
 def _build_synthetic_delta(session, touch: int, mode: str):
     """A deterministic delta touching the ``touch`` least probable mappings.
 
@@ -551,9 +481,7 @@ def _cmd_delta(args, out) -> int:
 
 def _cmd_explain(args, out) -> int:
     session = Dataspace.from_dataset(args.dataset, h=args.num_mappings)
-    report = session.explain(
-        args.query, k=args.top_k, plan=_plan_name(args.algorithm), analyze=args.analyze
-    )
+    report = session.explain(args.query, k=args.top_k, plan=_plan_name(args.algorithm))
     if args.json:
         out.write(json.dumps(explain_to_json(report), indent=2) + "\n")
     else:
@@ -618,12 +546,7 @@ def _cmd_store(args, out) -> int:
 def _cmd_serve(args, out) -> int:
     from repro.net import ReproServer
 
-    if args.shards > 0:
-        from repro.workloads import open_corpus
-
-        target = open_corpus(args.dataset, shards=args.shards, h=args.num_mappings)
-    else:
-        target = Dataspace.from_dataset(args.dataset, h=args.num_mappings)
+    target = Dataspace.from_dataset(args.dataset, h=args.num_mappings)
     server = ReproServer(
         target,
         host=args.host,
@@ -754,7 +677,6 @@ _COMMANDS = {
     "blocktree": _cmd_blocktree,
     "query": _cmd_query,
     "batch": _cmd_batch,
-    "corpus": _cmd_corpus,
     "delta": _cmd_delta,
     "explain": _cmd_explain,
     "store": _cmd_store,

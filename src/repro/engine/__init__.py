@@ -6,9 +6,9 @@ artifacts (schema matching → top-h mapping set → block tree → source
 document), builds them lazily, memoizes them, and invalidates exactly the
 affected suffix when configuration changes.  Queries go through a fluent
 builder that compiles twig strings into reusable
-:class:`~repro.engine.prepared.PreparedQuery` objects and picks an
-evaluation :class:`~repro.engine.plans.QueryPlan` automatically — by
-default the ``compiled`` plan, which runs on the mapping set's bitset view
+:class:`~repro.engine.prepared.PreparedQuery` objects and evaluates them
+with a :class:`~repro.engine.plans.QueryPlan` — the ``compiled`` plan
+unless another is forced, which runs on the mapping set's bitset view
 (:mod:`repro.engine.compiled`) and evaluates each distinct query rewrite
 exactly once; Algorithm 3 (``basic``) and Algorithm 4 (``blocktree``)
 remain available as forced overrides::
@@ -33,15 +33,7 @@ from repro.engine.delta import (
     apply_mapping_delta,
 )
 from repro.engine.locking import ReadWriteLock
-from repro.engine.planner import (
-    CostModel,
-    PlanDecision,
-    PlanEstimate,
-    QueryPlanner,
-    StatisticsCollector,
-    canonical_text,
-    normalize_query_text,
-)
+from repro.engine.planner import canonical_text, normalize_query_text
 from repro.engine.plans import (
     BasicPlan,
     BlockTreePlan,
@@ -94,11 +86,6 @@ __all__ = [
     "plan_for",
     "register_plan",
     "available_plans",
-    "QueryPlanner",
-    "CostModel",
-    "PlanDecision",
-    "PlanEstimate",
-    "StatisticsCollector",
     "canonical_text",
     "normalize_query_text",
 ]

@@ -33,23 +33,11 @@ _MAX_RETAIN_SCAN = 16
 class CacheKey(NamedTuple):
     """Explicit, collision-proof result-cache key.
 
-    Historically the engine keyed cached results by a bare positional tuple
-    ``(query, plan, k, tau, generation, document_version)``.  With sharded
-    execution in the picture — where a corpus holds one document view per
-    shard and caches merged results *and* per-shard partials in the same
-    session cache — positional tuples invite silent collisions, so the key
-    is an explicit record instead:
+    One evaluated result is identified by the query, the plan, ``k``,
+    ``tau`` and the session state it was computed against:
 
-    * ``scope`` discriminates the entry family: ``"session"`` for plain
-      engine results, ``"corpus"`` for merged scatter-gather results,
-      ``"shard"`` / ``"spine"`` for per-shard partials.  Two keys with
-      different scopes are never equal, whatever their other fields.
-    * ``shard`` / ``shards`` pin a partial to one shard of one layout, so a
-      4-shard partial can never serve a 7-shard (or whole-corpus) lookup.
-    * ``generation`` and ``document_version`` stay :class:`Hashable` rather
-      than ``int`` because corpus scopes store the *full* per-session
-      generation signature there — a multi-session corpus result depends on
-      every member's generation, not just one.
+    * ``generation`` and ``document_version`` pin the session
+      configuration and source document;
     * ``delta_epoch`` is the fine-grained counter bumped by
       :meth:`Dataspace.apply_delta <repro.engine.dataspace.Dataspace.apply_delta>`
       *within* one generation.  It is what makes delta-aware retention
@@ -69,12 +57,9 @@ class CacheKey(NamedTuple):
     plan: str
     k: Optional[int]
     tau: Optional[float]
-    generation: Hashable
-    document_version: Hashable
-    scope: str = "session"
-    shard: Optional[int] = None
-    shards: Optional[int] = None
-    delta_epoch: Hashable = None
+    generation: int
+    document_version: int
+    delta_epoch: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -271,8 +256,8 @@ class ResultCache:
 
         ``probability_sensitive=False`` skips the mapping-mask check —
         correct for values that do not encode probabilities or
-        probability-driven selections, such as full (``k=None``) per-shard
-        match partials, which a pure reweight delta cannot change.
+        probability-driven selections, such as the filter cache's
+        relevant-mapping prefixes, which a pure reweight delta cannot change.
 
         ``transform``, when given, is applied to the surviving value before
         it is re-inserted under the current-epoch key; the transformed value

@@ -76,8 +76,8 @@ from repro.document.generator import generate_document
 from repro.engine.cache import CacheKey, ResultCache
 from repro.engine.delta import DeltaReport, MappingDelta
 from repro.engine.locking import ReadWriteLock
-from repro.engine.planner import PlanDecision, QueryPlanner, canonical_text
-from repro.engine.plans import QueryPlan, available_plans, plan_for
+from repro.engine.planner import canonical_text
+from repro.engine.plans import plan_for
 from repro.engine.prepared import PlanSpec, PreparedQuery, QueryBuilder
 from repro.engine.streaming import (
     DeltaBatch,
@@ -104,7 +104,7 @@ from repro.query.resolve import Embedding
 from repro.query.results import PTQAnswer, PTQResult
 from repro.query.twig import TwigQuery
 from repro.schema.schema import Schema
-from repro.store.artifacts import ArtifactStore, SessionBundle, partition_from_layout, partition_layout
+from repro.store.artifacts import ArtifactStore, SessionBundle
 from repro.workloads.datasets import DATASET_SPECS, build_mapping_set, load_dataset, load_source_document
 from repro.workloads.queries import QUERY_ALIASES, QUERY_STRINGS, load_query
 
@@ -261,21 +261,15 @@ class Dataspace:
         self._cache_size = cache_size
         # Persistence state: the attached artifact store (None until a store
         # is attached via from_dataset(store=...) / from_store / persist),
-        # the ref the session persists under, per-artifact provenance
-        # ("built" with build time vs "loaded" with deserialization time),
-        # and remembered shard-partition layouts keyed by shard count.
+        # the ref the session persists under, and per-artifact provenance
+        # ("built" with build time vs "loaded" with deserialization time).
         self._store: Optional[ArtifactStore] = None
         self._store_ref: Optional[str] = None
         self._provenance: dict[str, dict] = {}
-        self._layout_lock = threading.Lock()
-        self._partition_layouts: dict[int, tuple[int, dict]] = {}
         # Delta write-through failures (see apply_delta): persistence stays
         # best-effort, but every failure is counted and the first one warns.
         self._persist_failures = 0
         self._persist_failure_warned = False
-        # The cost-based planner: per-query statistics, the cost model and
-        # its bounded decision cache.
-        self._planner = QueryPlanner()
         # Standing queries: registered once, notified incrementally from the
         # dirty masks of every committed delta batch (see engine.streaming).
         self._subscriptions = SubscriptionRegistry(self)
@@ -495,12 +489,7 @@ class Dataspace:
         }
         self._store = store
         self._store_ref = bundle.ref
-        for num_shards, layout in bundle.partitions.items():
-            self._partition_layouts[num_shards] = (self._document_version, layout)
         self._restore_results(bundle.results)
-        # Planner statistics persist alongside the artifacts: a reopened
-        # session starts serving with its learned plan choices intact.
-        self._planner.adopt_payload(bundle.statistics)
 
     def _restore_results(self, rows: list[dict]) -> None:
         """Repopulate the result cache from persisted entries (best effort)."""
@@ -770,9 +759,7 @@ class Dataspace:
         The *generation* is **not** bumped: result-cache entries whose
         relevant mappings and required target elements do not intersect the
         delta's dirty masks keep serving across the epoch boundary (see
-        :meth:`~repro.engine.cache.ResultCache.lookup`), and a sharded
-        corpus over this session reuses its document partition and skips
-        re-evaluating clean shards.
+        :meth:`~repro.engine.cache.ResultCache.lookup`).
 
         In-flight queries are unaffected — they evaluate against the
         immutable snapshot they captured before the swap.  The block tree is
@@ -1177,15 +1164,14 @@ class Dataspace:
     def _result_entries(self, snap: EngineSnapshot) -> list[tuple]:
         """Result-cache entries belonging to the snapshot's exact signature.
 
-        Only plain session-scoped entries of named queries qualify: shard
-        and corpus partials are cheap to re-derive, and identity-keyed twig
-        entries (``<twig:N>``) cannot be re-associated after a reopen.
+        Only entries of named queries qualify: identity-keyed twig entries
+        (``<twig:N>``) cannot be re-associated after a reopen.
         """
         entries = []
         for key, value in self._result_cache.items():
             if not isinstance(key, CacheKey) or not isinstance(value, PTQResult):
                 continue
-            if key.scope != "session" or key.query.startswith("<twig:"):
+            if key.query.startswith("<twig:"):
                 continue
             if (
                 key.generation != snap.generation
@@ -1200,9 +1186,8 @@ class Dataspace:
         """Write every session artifact through to a persistent store.
 
         Persists the schemas, matching, mapping set, compiled bitset
-        columns, source document, remembered shard-partition layouts and the
-        current result-cache warmth as content-addressed blocks under one
-        manifest, keyed by the session's ``(generation, delta_epoch,
+        columns, source document and the current result-cache warmth as
+        content-addressed blocks under one manifest, keyed by the session's ``(generation, delta_epoch,
         document_version)`` signature.  Unchanged artifacts dedupe to their
         existing blocks, so repeated persists are cheap.
 
@@ -1225,12 +1210,6 @@ class Dataspace:
             )
         snap = self.snapshot(need_tree=False)
         compiled = snap.mapping_set.compile()
-        with self._layout_lock:
-            partitions = {
-                num_shards: layout
-                for num_shards, (version, layout) in self._partition_layouts.items()
-                if version == snap.document_version
-            }
         signature = {
             "generation": snap.generation,
             "delta_epoch": snap.delta_epoch,
@@ -1246,44 +1225,11 @@ class Dataspace:
             mapping_set=snap.mapping_set,
             document=snap.document,
             compiled=compiled,
-            partitions=partitions,
             results=self._result_entries(snap),
-            statistics=self._planner.statistics_payload(signature),
         )
         self._store = artifact_store
         self._store_ref = report["ref"]
         return report
-
-    def restore_partition(self, snapshot: EngineSnapshot, num_shards: int):
-        """Rebuild a remembered shard-partition layout for ``snapshot``, or ``None``.
-
-        Consulted by :class:`~repro.corpus.ShardedCorpus` before cutting a
-        fresh partition; layouts come from an earlier
-        :meth:`remember_partition` in this process or from a reopened store.
-        A layout recorded against a different document version — or one that
-        no longer applies — is discarded and ``None`` returned.
-        """
-        with self._layout_lock:
-            entry = self._partition_layouts.get(num_shards)
-        if entry is None:
-            return None
-        version, layout = entry
-        if version != snapshot.document_version:
-            return None
-        try:
-            return partition_from_layout(snapshot.document, layout)
-        except Exception:
-            with self._layout_lock:
-                self._partition_layouts.pop(num_shards, None)
-            return None
-
-    def remember_partition(self, partition) -> None:
-        """Remember a freshly cut partition's layout for reuse and persistence."""
-        layout = partition_layout(partition)
-        with self._lock.read_locked():
-            version = self._document_version
-        with self._layout_lock:
-            self._partition_layouts[partition.num_shards] = (version, layout)
 
     def relevant_for(
         self, prepared: PreparedQuery, snapshot: Optional[EngineSnapshot] = None
@@ -1348,7 +1294,7 @@ class Dataspace:
         Query texts are keyed by their *canonical* rendering (see
         :mod:`repro.engine.planner.normalize`), so equivalent spellings —
         whitespace, predicate order, label aliases — share one prepared
-        query, its resolve/filter caches and its planner statistics;
+        query and its resolve/filter caches;
         distinct twig objects are never conflated, even when their text
         coincides.  The per-session prepared-query cache is a bounded LRU,
         so serving arbitrary ad-hoc query texts cannot grow session memory
@@ -1411,19 +1357,6 @@ class Dataspace:
         """The session's standing-query registry (see :meth:`subscribe`)."""
         return self._subscriptions
 
-    def shard(self, num_shards: int, *, max_workers: Optional[int] = None):
-        """Open a :class:`~repro.corpus.ShardedCorpus` over this session.
-
-        The session's document is partitioned into ``num_shards`` subtree
-        shards and queries are answered scatter-gather, with results
-        byte-identical to the unsharded ``compiled`` plan.  The corpus holds
-        a reference to this session (not a copy): reconfiguring the session
-        transparently rebuilds the shard state at the next query.
-        """
-        from repro.corpus import ShardedCorpus
-
-        return ShardedCorpus.from_dataspace(self, num_shards, max_workers=max_workers)
-
     def execute(
         self,
         query: Union[str, TwigQuery],
@@ -1454,16 +1387,9 @@ class Dataspace:
         k: Optional[int] = None,
         plan: PlanSpec = None,
         use_cache: bool = True,
-        analyze: bool = False,
     ):
-        """Evaluate ``query`` and report plan choice, inputs and timings.
-
-        ``analyze=True`` adds the planner's estimated cardinalities and
-        latency next to this execution's measured actuals.
-        """
-        return self.prepare(query).explain(
-            k=k, plan=plan, use_cache=use_cache, analyze=analyze
-        )
+        """Evaluate ``query`` and report plan choice, inputs and timings."""
+        return self.prepare(query).explain(k=k, plan=plan, use_cache=use_cache)
 
     def query_batch(
         self,
@@ -1536,54 +1462,16 @@ class Dataspace:
         return [results[id(item)][0] for item in prepared]
 
     # ------------------------------------------------------------------ #
-    # Cost-based planning
+    # Plan selection
     # ------------------------------------------------------------------ #
-    @property
-    def planner(self) -> QueryPlanner:
-        """The session's cost-based planner (statistics + decisions)."""
-        return self._planner
+    def plan_decision(self, prepared: PreparedQuery) -> str:
+        """The plan an un-forced ``prepared`` runs: always ``compiled``.
 
-    def plan_decision(
-        self, prepared: PreparedQuery, *, collect_statistics: bool = True
-    ) -> PlanDecision:
-        """The cost model's full decision for ``prepared``.
-
-        The one decision entry: both ``execute()`` and ``explain()`` of an
-        un-forced query take their plan from here.  The decision depends on
-        the query's own measured latencies only, not on the session state or
-        ``k``.  The execute path passes ``collect_statistics=False`` to skip
-        the serialized statistics snapshot only ``explain()`` output reads.
+        The one place a plan is picked, so ``execute()``, ``cached()`` and
+        ``explain()`` always agree.  A caller that wants Algorithm 3 or 4
+        forces it with ``plan="basic"`` or ``plan="blocktree"``.
         """
-        return self._planner.decide(
-            prepared.cache_key, collect_statistics=collect_statistics
-        )
-
-    def calibrate(
-        self,
-        query: Union[str, TwigQuery],
-        *,
-        k: Optional[int] = None,
-        plans: Optional[Iterable[Union[str, QueryPlan]]] = None,
-    ) -> dict:
-        """Measure every candidate plan once to warm the cost model.
-
-        Runs ``query`` uncached under each plan (default: all registered
-        plans), feeding the planner real latencies so subsequent un-forced
-        executions pick the measured-fastest plan.  Returns
-        ``{plan: latency_ms}``.  All plans are byte-identical by contract,
-        so calibration never changes any answer, only timings.
-        """
-        prepared = self.prepare(query)
-        plan_names = [
-            plan_for(candidate).name
-            for candidate in (plans if plans is not None else available_plans())
-        ]
-        report: dict[str, float] = {}
-        for name in plan_names:
-            started = time.perf_counter()
-            prepared.execute(k=k, plan=name, use_cache=False)
-            report[name] = (time.perf_counter() - started) * 1000.0
-        return report
+        return "compiled"
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -1624,7 +1512,6 @@ class Dataspace:
                 info["num_blocks"] = self._block_tree.num_blocks
             if self._document is not None:
                 info["document_nodes"] = len(self._document)
-        info["planner"] = self._planner.report()
         info["subscriptions"] = self._subscriptions.stats()
         info.update(self.cache_stats())
         return info

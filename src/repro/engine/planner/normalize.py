@@ -1,9 +1,8 @@
-"""Canonical twig-query rendering for the normalized plan cache.
+"""Canonical twig-query rendering for the prepared-query cache.
 
 Two query texts that parse to the same twig structure should share one
 :class:`~repro.engine.prepared.PreparedQuery` — and with it the resolved
-embeddings, the filter signature and the planner's accumulated
-statistics.  :func:`canonical_text` renders a parsed :class:`TwigQuery` back
+embeddings, the filter signature and the cached results.  :func:`canonical_text` renders a parsed :class:`TwigQuery` back
 into a single canonical string so that whitespace variants
 (``"Order / DeliverTo"``), predicate-order variants
 (``"Address[./City][./Country]"`` vs ``"Address[./Country][./City]"``) and

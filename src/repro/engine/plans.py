@@ -219,11 +219,7 @@ def _normalize(name: str) -> str:
 
 
 def register_plan(plan: QueryPlan) -> QueryPlan:
-    """Register ``plan`` under its (normalised) :attr:`~QueryPlan.name`.
-
-    Register before opening sessions from a store: adopting persisted
-    planner statistics keeps latency records of registered plans only.
-    """
+    """Register ``plan`` under its (normalised) :attr:`~QueryPlan.name`."""
     _PLAN_REGISTRY[_normalize(plan.name)] = plan
     return plan
 
@@ -299,12 +295,8 @@ class ExplainReport:
     ``artifacts`` records per-artifact provenance — ``loaded`` (restored from
     a persistent store, with the deserialization time) versus ``built`` (cold
     derivation) — mirroring the cache-participation reporting.
-    ``planner`` records *why* the plan was selected: the cost estimate of
-    every candidate strategy, the winner, and the statistics snapshot the
-    cost model used (``None`` when the plan was forced by the caller).
-    ``analyze`` is populated by ``explain(analyze=True)``: the planner's
-    estimated cardinalities and latency next to the measured actuals of this
-    very execution.
+    ``reason`` says why the plan ran: the default plan, or forced by the
+    caller.
     """
 
     query: str
@@ -325,8 +317,6 @@ class ExplainReport:
     cache_stats: Optional[dict] = None
     compiled_stats: Optional[dict] = None
     artifacts: Optional[dict] = None
-    planner: Optional[dict] = None
-    analyze: Optional[dict] = None
 
     def to_dict(self) -> dict:
         """JSON-serialisable view of the report."""
@@ -349,8 +339,6 @@ class ExplainReport:
             "cache_stats": self.cache_stats,
             "compiled_stats": self.compiled_stats,
             "artifacts": self.artifacts,
-            "planner": self.planner,
-            "analyze": self.analyze,
         }
 
     def format(self) -> str:
@@ -382,25 +370,6 @@ class ExplainReport:
                 f"{stats.get('num_posting_lists', 0)} posting lists, "
                 f"{stats.get('bitset_bytes', 0)} B bitsets)"
             )
-        if self.planner is not None:
-            estimates = ", ".join(
-                f"{row.get('plan')}={row.get('cost_ms')} ms"
-                f" ({row.get('observations')} obs)"
-                for row in self.planner.get("candidates", [])
-            )
-            lines.append(f"planner:    {self.planner.get('reason', '?')}")
-            if estimates:
-                lines.append(f"estimates:  {estimates}")
-        if self.analyze is not None:
-            estimated = self.analyze.get("estimated") or {}
-            actual = self.analyze.get("actual") or {}
-            parts = []
-            for field_name in sorted(set(estimated) | set(actual)):
-                parts.append(
-                    f"{field_name}={estimated.get(field_name, '?')}→"
-                    f"{actual.get(field_name, '?')}"
-                )
-            lines.append(f"analyze:    {'  '.join(parts)} (estimated→actual)")
         lines.append(f"timings:    {timings}")
         if self.cache is not None:
             stats = self.cache_stats or {}

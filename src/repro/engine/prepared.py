@@ -17,8 +17,8 @@ and consults the session's result cache under a key that includes the
 snapshot's generation, so concurrent reconfiguration can neither tear an
 evaluation nor let a stale cached answer escape.  ``execute()`` and
 ``explain()`` share one read step in two halves: the lookup (a
-retain-on-miss cache lookup and the planner's hit observation) and, on a
-miss, the run (the plan run, the planner observation and the cache put).
+retain-on-miss cache lookup) and, on a miss, the run (the plan run and the
+cache put).
 :meth:`PreparedQuery.cached` is the lookup half alone, for callers that must
 never evaluate or block.
 
@@ -54,7 +54,6 @@ from repro.query.twig import TwigQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.dataspace import Dataspace, EngineSnapshot
-    from repro.engine.planner import PlanDecision
 
 __all__ = ["PreparedQuery", "QueryBuilder"]
 
@@ -159,13 +158,7 @@ class PreparedQuery:
     def _result_key(
         self, plan: QueryPlan, k: Optional[int], snapshot: "EngineSnapshot"
     ) -> CacheKey:
-        """Result-cache key: query, plan, k, tau and snapshot identity.
-
-        Built as an explicit :class:`~repro.engine.cache.CacheKey` with the
-        default ``scope="session"``, so plain engine results can never
-        collide with the corpus- and shard-scoped entries the sharded
-        executor stores in the same cache.
-        """
+        """Result-cache key: query, plan, k, tau and snapshot identity."""
         return CacheKey(
             query=self._cache_key,
             plan=plan.name,
@@ -177,41 +170,24 @@ class PreparedQuery:
         )
 
     def _plan_and_snapshot(
-        self,
-        plan: PlanSpec,
-        snapshot: Optional["EngineSnapshot"],
-        collect_statistics: bool,
-    ) -> tuple[QueryPlan, Optional["PlanDecision"], "EngineSnapshot"]:
-        """The plan to run, the cost model's decision (``None`` when forced), a snapshot.
+        self, plan: PlanSpec, snapshot: Optional["EngineSnapshot"]
+    ) -> tuple[QueryPlan, "EngineSnapshot"]:
+        """The plan to run and a snapshot that can run it.
 
-        A forced ``plan`` goes through :func:`plan_for`; otherwise the
-        decision comes from :meth:`Dataspace.plan_decision
-        <repro.engine.dataspace.Dataspace.plan_decision>` — so ``execute()``
-        and ``explain()`` always agree on the winner.
+        A forced ``plan`` goes through :func:`plan_for`; otherwise the plan
+        comes from :meth:`Dataspace.plan_decision
+        <repro.engine.dataspace.Dataspace.plan_decision>`, so ``execute()``
+        and ``explain()`` always agree on it.
         """
         ds = self._dataspace
-        decision = None
-        if plan is not None:
-            chosen = plan_for(plan)
-            snap = (
-                snapshot
-                if snapshot is not None
-                else ds.snapshot(need_tree=chosen.uses_block_tree)
-            )
-        else:
-            # The common (non-tree) choices evaluate straight against one
-            # snapshot — only a tree-plan choice pays a second.
-            snap = snapshot if snapshot is not None else ds.snapshot(need_tree=False)
-            decision = ds.plan_decision(self, collect_statistics=collect_statistics)
-            chosen = plan_for(decision.plan_name)
-        if chosen.uses_block_tree and snap.block_tree is None:
-            if snapshot is None:
-                snap = ds.snapshot(need_tree=True)
-            else:
-                # A shared batch snapshot taken without the tree cannot run
-                # the tree plan; the default needs no tree.
-                chosen = plan_for("compiled")
-        return chosen, decision, snap
+        chosen = plan_for(plan if plan is not None else ds.plan_decision(self))
+        if snapshot is None:
+            return chosen, ds.snapshot(need_tree=chosen.uses_block_tree)
+        if chosen.uses_block_tree and snapshot.block_tree is None:
+            # A shared batch snapshot taken without the tree cannot run the
+            # tree plan; the default needs no tree.
+            chosen = plan_for("compiled")
+        return chosen, snapshot
 
     def execute(
         self,
@@ -229,10 +205,8 @@ class PreparedQuery:
             Optional top-k restriction (Definition 5).
         plan:
             Optional plan override (name or :class:`QueryPlan`); when
-            omitted the cost model selects a plan from the query's measured
-            statistics, degrading to the fixed ``compiled`` default when
-            cold.  All plans are byte-identical, so the choice only affects
-            time.
+            omitted the ``compiled`` plan runs.  All plans are
+            byte-identical, so the choice only affects time.
         snapshot:
             Evaluate against this pre-captured snapshot instead of taking a
             fresh one (batch executors pass the batch's shared snapshot).
@@ -240,7 +214,7 @@ class PreparedQuery:
             Consult/populate the session's result cache (default ``True``).
             Cached results are shared objects — treat them as read-only.
         """
-        chosen, _, snap = self._plan_and_snapshot(plan, snapshot, False)
+        chosen, snap = self._plan_and_snapshot(plan, snapshot)
         result, _ = self._evaluate(chosen, snap, k, self.relevant_mappings(snap), use_cache)
         return result
 
@@ -260,9 +234,7 @@ class PreparedQuery:
         if self._resolved is None:
             return None
         ds = self._dataspace
-        if plan is None:
-            plan = ds.plan_decision(self, collect_statistics=False).plan_name
-        chosen = plan_for(plan)
+        chosen = plan_for(plan if plan is not None else ds.plan_decision(self))
         snap = ds.try_snapshot(need_tree=chosen.uses_block_tree)
         if snap is None:
             return None
@@ -276,16 +248,12 @@ class PreparedQuery:
         Retain-on-miss: after an applied delta, an entry written at an
         earlier ``delta_epoch`` survives when the delta provably did not
         touch ``mapping_mask`` (the query's relevant mappings) or the
-        query's required target elements.  A hit or retained entry is
-        reported to the planner; ``state`` is ``"hit"``, ``"retained"`` or
-        ``"miss"``.
+        query's required target elements.  ``state`` is ``"hit"``,
+        ``"retained"`` or ``"miss"``.
         """
-        cached, state = self._dataspace.result_cache.lookup(
+        return self._dataspace.result_cache.lookup(
             key, mapping_mask, self.required_target_mask(), count_miss=count_miss
         )
-        if cached is not None:
-            self._dataspace.planner.observe_cache_hit(self._cache_key)
-        return cached, state
 
     def _evaluate(
         self,
@@ -315,10 +283,8 @@ class PreparedQuery:
         k: Optional[int],
         relevant: MappingSubset,
     ) -> PTQResult:
-        """The run half of the read step: run ``chosen`` and tell the planner."""
-        ds = self._dataspace
-        started = time.perf_counter()
-        result = chosen.run(
+        """The run half of the read step: run ``chosen`` on ``snap``."""
+        return chosen.run(
             self._query,
             snap.mapping_set,
             snap.document,
@@ -327,15 +293,6 @@ class PreparedQuery:
             relevant=relevant,
             k=k,
         )
-        ds.planner.observe_execution(
-            self._cache_key,
-            chosen.name,
-            (time.perf_counter() - started) * 1000.0,
-            state=(snap.generation, snap.delta_epoch),
-            num_relevant=len(relevant),
-            num_embeddings=len(self.embeddings),
-        )
-        return result
 
     def explain(
         self,
@@ -344,25 +301,11 @@ class PreparedQuery:
         plan: PlanSpec = None,
         snapshot: Optional["EngineSnapshot"] = None,
         use_cache: bool = True,
-        analyze: bool = False,
     ) -> ExplainReport:
-        """Execute the query and report plan choice, inputs and stage timings.
-
-        Without a forced ``plan`` the report carries the planner's full
-        decision — per-candidate cost estimates, the winner, and the
-        statistics snapshot used.  With ``analyze=True`` it also compares
-        the planner's *estimated* cardinalities and latency against the
-        measured actuals of this very execution (``EXPLAIN ANALYZE``).
-        """
+        """Execute the query and report plan choice, inputs and stage timings."""
         ds = self._dataspace
-        chosen, decision, snap = self._plan_and_snapshot(plan, snapshot, True)
-        reason = decision.reason if decision is not None else "forced by caller"
-        # The estimates are whatever the planner knew *before* this run.
-        pre_stats = (
-            decision.statistics
-            if decision is not None
-            else ds.planner.snapshot(self._cache_key)
-        )
+        chosen, snap = self._plan_and_snapshot(plan, snapshot)
+        reason = "default plan" if plan is None else "forced by caller"
         timings: dict[str, float] = {}
 
         started = time.perf_counter()
@@ -394,37 +337,6 @@ class PreparedQuery:
                 derive_rewrites(self._query, compiled, embeddings, selected_mask),
                 selected_mask,
             )
-            ds.planner.observe_rewrites(
-                self._cache_key, compiled_stats["num_distinct_rewrites"]
-            )
-        planner_info = None
-        if decision is not None:
-            planner_info = {
-                "winner": decision.plan_name,
-                "reason": decision.reason,
-                "cached_decision": decision.cached,
-                "candidates": [estimate.to_dict() for estimate in decision.candidates],
-                "statistics": decision.statistics,
-            }
-        analyze_info = None
-        if analyze:
-            estimated: dict = {}
-            if pre_stats:
-                plan_estimates = pre_stats.get("plans", {}).get(chosen.name) or {}
-                ewma = plan_estimates.get("ewma_ms")
-                estimated = {
-                    "num_relevant": pre_stats.get("num_relevant"),
-                    "num_embeddings": pre_stats.get("num_embeddings"),
-                    "evaluate_ms": round(ewma, 3) if ewma is not None else None,
-                }
-            analyze_info = {
-                "estimated": estimated,
-                "actual": {
-                    "num_relevant": len(relevant),
-                    "num_embeddings": len(embeddings),
-                    "evaluate_ms": round(timings["evaluate"], 3),
-                },
-            }
         return ExplainReport(
             query=self.text,
             plan=chosen.name,
@@ -444,8 +356,6 @@ class PreparedQuery:
             cache_stats=ds.result_cache.stats().to_dict() if use_cache else None,
             compiled_stats=compiled_stats,
             artifacts=ds.artifact_provenance() or None,
-            planner=planner_info,
-            analyze=analyze_info,
         )
 
     def __repr__(self) -> str:
@@ -490,11 +400,9 @@ class QueryBuilder:
         """Evaluate with the builder's settings."""
         return self._prepared.execute(k=self._k, plan=self._plan, use_cache=self._use_cache)
 
-    def explain(self, *, analyze: bool = False) -> ExplainReport:
-        """Evaluate and report how (plan, inputs, timings; estimates when ``analyze``)."""
-        return self._prepared.explain(
-            k=self._k, plan=self._plan, use_cache=self._use_cache, analyze=analyze
-        )
+    def explain(self) -> ExplainReport:
+        """Evaluate and report how (plan, inputs, timings)."""
+        return self._prepared.explain(k=self._k, plan=self._plan, use_cache=self._use_cache)
 
     def __repr__(self) -> str:
         plan = self._plan.name if isinstance(self._plan, QueryPlan) else self._plan

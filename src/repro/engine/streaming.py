@@ -19,7 +19,7 @@ module turns ``apply_delta`` into a production write path with two pieces:
   :meth:`~repro.engine.cache.ResultCache.lookup` proves which cached results
   a delta *cannot* touch, the registry proves which standing queries it
   *must* notify.  A subscription registers a PTQ/top-k once (keyed by the
-  planner's canonical query text, so equivalent spellings share one standing
+  canonical query text, so equivalent spellings share one standing
   query) and each committed batch partitions the standing queries three ways:
 
   ========================  ================================================
@@ -31,15 +31,14 @@ module turns ``apply_delta`` into a production write path with two pieces:
                             (and build top-k entrants from the match table)
                             and emit changed entries only, no re-execution
   **structural**            required-target structure dirty — re-execute via
-                            the normal cost-routed path and diff
+                            the normal execute path and diff
   ========================  ================================================
 
   Notifications are :class:`SubscriptionUpdate` diffs (added / removed /
   rescored rows) with the guarantee that replaying the stream onto the
   initial result set (:func:`apply_update`) reproduces, byte for byte, what
   re-executing the standing query from scratch at the new epoch returns —
-  the differential property the streaming test harness pins across plans
-  and shard counts.
+  the differential property the streaming test harness pins across plans.
 
 Shared evaluation and the match table
 -------------------------------------
@@ -184,11 +183,7 @@ class BatchEffect:
 
     The mask fields mirror :class:`~repro.engine.delta.DeltaEffect` but
     describe the *net* first-to-last difference: an edit a later delta of
-    the same batch reverts contributes no dirt.  ``dirty_sources`` /
-    ``dirty_source_mask`` additionally record the edited *source* elements,
-    which shard-level dirty routing in the corpus layer keys on (a shard
-    holding none of the edited source elements cannot observe the batch
-    structurally).
+    the same batch reverts contributes no dirt.
     """
 
     num_deltas: int
@@ -199,8 +194,6 @@ class BatchEffect:
     probability_mask: int
     dirty_target_mask: int
     dirty_targets: frozenset[int]
-    dirty_sources: frozenset[int]
-    dirty_source_mask: int
     posting_lists_touched: int
     posting_lists_total: int
     compiled_incrementally: bool
@@ -285,12 +278,10 @@ def apply_delta_batch(
             probability_ids.append(mapping_id)
 
     dirty_targets: set[int] = set()
-    dirty_sources: set[int] = set()
     edited_pairs: set = set()
     for old_pairs, new_pairs in changed_pairs.values():
         for pair in old_pairs ^ new_pairs:
             edited_pairs.add(pair)
-            dirty_sources.add(pair[0])
             dirty_targets.add(pair[1])
 
     if mapping_set.is_compiled:
@@ -311,8 +302,6 @@ def apply_delta_batch(
         probability_mask=mapping_mask(probability_ids),
         dirty_target_mask=target_mask_of(dirty_targets),
         dirty_targets=frozenset(dirty_targets),
-        dirty_sources=frozenset(dirty_sources),
-        dirty_source_mask=target_mask_of(dirty_sources),
         posting_lists_touched=len(edited_pairs),
         posting_lists_total=posting_total,
         compiled_incrementally=mapping_set.is_compiled,
@@ -679,7 +668,7 @@ class SubscriptionRegistry:
     ) -> tuple[PTQResult, _MatchTable]:
         """The full result of ``prepared`` at ``snapshot`` and its match table.
 
-        Runs the normal cost-routed, result-cached ``execute`` at ``k=None``
+        Runs the normal result-cached ``execute`` at ``k=None``
         once per notice: every standing query of ``prepared`` processed
         under the same notice-scoped ``memo`` shares the result and table.
         """

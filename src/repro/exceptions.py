@@ -139,7 +139,13 @@ class DataspaceError(ReproError):
 
 
 class CorpusError(ReproError):
-    """Raised when a sharded corpus (:class:`repro.corpus.ShardedCorpus`) is misused."""
+    """Reserved: formerly raised when a sharded corpus was misused.
+
+    The sharded corpus is gone (the linear twig matcher left it no speedup),
+    so nothing raises this any more.  The class and its ``corpus`` wire code
+    stay in the published error registry so existing clients keep decoding
+    it.
+    """
 
     code = "corpus"
 

@@ -24,7 +24,6 @@ from typing import Iterator, Optional, Union
 from repro.api.errors import ProtocolError
 from repro.api.messages import (
     BatchRequest,
-    CalibrateRequest,
     DeltaBatchRequest,
     DeltaRequest,
     ErrorResponse,
@@ -258,31 +257,11 @@ class ReproClient:
         *,
         k: Optional[int] = None,
         plan: Optional[str] = None,
-        analyze: bool = False,
     ):
         """Explain a query; returns the reconstructed
         :class:`~repro.engine.plans.ExplainReport`."""
-        response = self._round_trip(
-            ExplainRequest(query=query, k=k, plan=plan, analyze=analyze)
-        )
+        response = self._round_trip(ExplainRequest(query=query, k=k, plan=plan))
         return explain_from_json(response.report)
-
-    def calibrate(
-        self,
-        query: str,
-        *,
-        k: Optional[int] = None,
-        plans: Optional["list[str] | tuple[str, ...]"] = None,
-    ) -> dict:
-        """Warm the server's cost model; returns ``{plan: latency_ms}``."""
-        response = self._round_trip(
-            CalibrateRequest(
-                query=query,
-                k=k,
-                plans=tuple(plans) if plans is not None else None,
-            )
-        )
-        return dict(response.timings)
 
     def stats(self) -> dict:
         """Service and server statistics (admission counters under ``server``)."""

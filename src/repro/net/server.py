@@ -1,7 +1,7 @@
 """The asyncio network front-end: one port, two transports, typed everything.
 
-:class:`ReproServer` serves a session (:class:`~repro.engine.Dataspace`), a
-sharded corpus, or an existing :class:`~repro.service.QueryService` over TCP.
+:class:`ReproServer` serves a session (:class:`~repro.engine.Dataspace`) or an
+existing :class:`~repro.service.QueryService` over TCP.
 Each accepted connection is sniffed by its first four bytes: ``b"RPRO"``
 selects the length-prefixed binary framing (:mod:`repro.net.framing`),
 anything that reads as an ASCII HTTP method selects a minimal HTTP/1.1
@@ -14,8 +14,8 @@ The event loop parses, queues and writes, and it answers a query whose
 result is already cached: :meth:`ApiHandler.cached
 <repro.api.handler.ApiHandler.cached>` looks the answer up without waiting on
 the session lock, preparing a new text or evaluating, and the loop encodes
-and writes it.  Everything else (misses, streams, batches, explain, deltas,
-corpus-backed services) executes on a thread pool (``run_in_executor``)
+and writes it.  Everything else (misses, streams, batches, explain, deltas)
+executes on a thread pool (``run_in_executor``)
 against the thread-safe engine.  Overload never manifests as a hang:
 admission control (:class:`~repro.net.admission.AdmissionController`) bounds
 in-flight and queued evaluations and sheds the rest with typed
@@ -61,7 +61,6 @@ from repro.net import framing
 from repro.net.admission import AdmissionController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.corpus import ShardedCorpus
     from repro.engine.dataspace import Dataspace
     from repro.service import QueryService
 
@@ -132,8 +131,7 @@ class ReproServer:
     Parameters
     ----------
     target:
-        What to serve: a :class:`~repro.engine.Dataspace`, a homogeneous
-        :class:`~repro.corpus.ShardedCorpus`, or a ready-made
+        What to serve: a :class:`~repro.engine.Dataspace` or a ready-made
         :class:`~repro.service.QueryService` (shared services are not closed
         on :meth:`stop`; owned ones are).
     host, port:
@@ -156,7 +154,7 @@ class ReproServer:
 
     def __init__(
         self,
-        target: Union["Dataspace", "ShardedCorpus", "QueryService"],
+        target: Union["Dataspace", "QueryService"],
         *,
         host: str = "127.0.0.1",
         port: int = 0,

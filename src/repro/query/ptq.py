@@ -479,8 +479,8 @@ def derive_rewrites(
     (:meth:`~repro.engine.compiled.CompiledMappingSet.rewrite_groups`).  The
     groups of one embedding are disjoint; two embeddings can induce the same
     source signature, which :func:`match_rewrites` then matches once.  This is
-    the only place rewrites are derived: the compiled plan, the sharded
-    corpus and ``explain()``'s sharing statistics all consume its output.
+    the only place rewrites are derived: the compiled plan and
+    ``explain()``'s sharing statistics both consume its output.
     """
     node_ids = _node_ids(query)
     rewrites: list[Rewrite] = []

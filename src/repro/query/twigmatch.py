@@ -1,7 +1,7 @@
 """Matching twig patterns on documents, and structural joins.
 
 The evaluation semantics follow the paper's query-rewriting approach with one
-documented simplification (see DESIGN.md / README): a query's axes are
+documented simplification (see ``docs/architecture.md``): a query's axes are
 enforced against the *target schema* during resolution, while on the *source
 document* matched nodes only need to satisfy ancestor-descendant containment
 along every query edge.  This keeps the basic (per-mapping) and the
@@ -10,9 +10,16 @@ both ultimately check containment between document nodes.
 
 A *match* is a dictionary from query node id to the
 :class:`~repro.document.node.DocumentNode` assigned to it.
+
+Both matchers use the region encoding: the descendants of a node are exactly
+the nodes whose ``start`` lies strictly inside its ``(start, end)`` interval,
+so a candidate's nested matches are one bisected slice of the matches sorted
+by ``start``, and a structural join is one pass over two sorted lists.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from repro.document.document import XMLDocument
 from repro.document.node import DocumentNode
@@ -80,25 +87,32 @@ def _match_node(
     if qnode.is_leaf:
         return [{qnode.node_id: candidate} for candidate in candidates]
 
-    per_child_matches: list[tuple[TwigNode, list[Match]]] = []
+    # Per child: its matches, their starts in document order, and each sorted
+    # position's index into the original list.
+    per_child: list[tuple[list[Match], list[int], list[int]]] = []
     for child in qnode.children:
         child_matches = _match_node(document, child, element_map)
         if not child_matches:
             return []
-        per_child_matches.append((child, child_matches))
+        child_id = child.node_id
+        order = sorted(
+            range(len(child_matches)), key=lambda i: child_matches[i][child_id].start
+        )
+        starts = [child_matches[i][child_id].start for i in order]
+        per_child.append((child_matches, starts, order))
 
     results: list[Match] = []
     for candidate in candidates:
         combinations: list[Match] = [{qnode.node_id: candidate}]
-        for child, child_matches in per_child_matches:
-            nested = [
-                child_match
-                for child_match in child_matches
-                if candidate.is_ancestor_of(child_match[child.node_id])
-            ]
-            if not nested:
+        for child_matches, starts, order in per_child:
+            low = bisect_right(starts, candidate.start)
+            high = bisect_left(starts, candidate.end, low)
+            if low == high:
                 combinations = []
                 break
+            # Back in ``child_matches`` order: every match list, and so every
+            # answer built from it, follows candidate order, not ``start``.
+            nested = [child_matches[i] for i in sorted(order[low:high])]
             combinations = [
                 {**combination, **child_match}
                 for combination in combinations
@@ -122,8 +136,9 @@ def stack_join(
     stack-based structural join the paper relies on ([Al-Khalifa et al.,
     ICDE 2002]) for re-assembling decomposed sub-query results.
 
-    Both inputs may be in any order; the output order follows the document
-    order of the ancestor nodes.
+    Both inputs may be in any order.  The output follows the descendants'
+    document order (ties in their input order); the ancestors joined to one
+    descendant follow in document order.
     """
     if not ancestor_matches or not descendant_matches:
         return []
@@ -132,24 +147,24 @@ def stack_join(
     descendants = sorted(descendant_matches, key=lambda m: m[descendant_node_id].start)
 
     results: list[Match] = []
-    stack: list[Match] = []  # currently "open" ancestor matches
+    # Open ancestor matches; each region contains the next one's.
+    stack: list[Match] = []
     a_index = 0
     for descendant_match in descendants:
-        descendant_node = descendant_match[descendant_node_id]
-        # Push every ancestor that starts before this descendant.
-        while a_index < len(ancestors) and (
-            ancestors[a_index][ancestor_node_id].start < descendant_node.start
-        ):
+        start = descendant_match[descendant_node_id].start
+        # Push every ancestor that starts before this descendant, first
+        # popping the open ones whose region ended before it begins.
+        while a_index < len(ancestors):
+            ancestor_node = ancestors[a_index][ancestor_node_id]
+            if ancestor_node.start >= start:
+                break
+            while stack and stack[-1][ancestor_node_id].end < ancestor_node.start:
+                stack.pop()
             stack.append(ancestors[a_index])
             a_index += 1
-        # Pop ancestors that already ended.
-        stack = [
-            ancestor_match
-            for ancestor_match in stack
-            if ancestor_match[ancestor_node_id].end >= descendant_node.end
-        ]
+        # Pop the open ancestors whose region ended before this descendant.
+        while stack and stack[-1][ancestor_node_id].end < start:
+            stack.pop()
         for ancestor_match in stack:
-            ancestor_node = ancestor_match[ancestor_node_id]
-            if ancestor_node.is_ancestor_of(descendant_node):
-                results.append({**ancestor_match, **descendant_match})
+            results.append({**ancestor_match, **descendant_match})
     return results

@@ -220,8 +220,7 @@ def build_mixed_workload(
     after each repeat pass appends one write op per dataset listed in
     ``deltas`` (cycling through that dataset's delta sequence), so each
     subsequent pass queries a mutated mapping set — the workload shape where
-    delta-epoch cache retention and planner decision invalidation are
-    exercised together.
+    delta-epoch cache retention is exercised.
     """
     deltas = deltas or {}
     cursors = {dataset_id: 0 for dataset_id in deltas}

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 from repro.exceptions import DataspaceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.corpus import ShardedCorpus
     from repro.engine.dataspace import Dataspace
     from repro.engine.prepared import PlanSpec
     from repro.query.results import PTQResult
@@ -92,22 +91,15 @@ class QueryService:
     Parameters
     ----------
     dataspace:
-        The session to serve — or a single-session
-        :class:`~repro.corpus.ShardedCorpus`, in which case every request is
-        routed through the corpus' scatter-gather executor (batches fan
-        queries over the pool and each query's shards evaluate inline in its
-        worker).  Either may be shared with other services and with direct
-        callers (both are thread-safe).
+        The session to serve.  It may be shared with other services and with
+        direct callers (it is thread-safe).
     max_workers:
         Size of the service's thread pool (used by :meth:`submit`,
         :meth:`submit_many` and :meth:`execute_many`).  ``None`` (default)
         uses :func:`default_service_workers`.
     use_cache:
         Whether served queries consult the session's result cache
-        (default ``True``).  Corpus-backed services cache under
-        corpus-scoped :class:`~repro.engine.cache.CacheKey` entries, keyed
-        per shard for partials, so sharded and unsharded answers never
-        collide.
+        (default ``True``).
 
     The service is a context manager; leaving the ``with`` block shuts the
     pool down.  Statistics (request counts, latency percentiles, cache
@@ -116,27 +108,14 @@ class QueryService:
 
     def __init__(
         self,
-        dataspace: Union["Dataspace", "ShardedCorpus"],
+        dataspace: "Dataspace",
         *,
         max_workers: Optional[int] = None,
         use_cache: bool = True,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise DataspaceError(f"max_workers must be at least 1, got {max_workers}")
-        from repro.corpus import ShardedCorpus as _ShardedCorpus
-
-        self._corpus: Optional["ShardedCorpus"]
-        if isinstance(dataspace, _ShardedCorpus):
-            if not dataspace.is_homogeneous:
-                raise DataspaceError(
-                    "QueryService fronts a single-session corpus; use "
-                    "ShardedCorpus.gather()/top_k() directly for multi-dataset corpora"
-                )
-            self._corpus = dataspace
-            self._dataspace = dataspace.sessions[0]
-        else:
-            self._corpus = None
-            self._dataspace = dataspace
+        self._dataspace = dataspace
         if max_workers is None:
             max_workers = default_service_workers()
         self._use_cache = use_cache
@@ -158,33 +137,16 @@ class QueryService:
     # ------------------------------------------------------------------ #
     @property
     def dataspace(self) -> "Dataspace":
-        """The session this service fronts (the corpus' session when sharded)."""
+        """The session this service fronts."""
         return self._dataspace
 
-    @property
-    def corpus(self) -> Optional["ShardedCorpus"]:
-        """The sharded corpus being served, or ``None`` for a plain session."""
-        return self._corpus
-
-    def _check_plan(self, plan: "PlanSpec") -> None:
-        if self._corpus is not None and plan is not None:
-            raise DataspaceError(
-                "a corpus-backed service always runs the scatter-gather executor; "
-                "plan overrides apply only to session-backed services"
-            )
-
     def _flight_scope(self) -> tuple:
-        """Configuration scope of single-flight keys (corpus- or session-wide).
+        """Configuration scope of single-flight keys.
 
-        Includes the fine-grained ``delta_epoch`` (directly for sessions, via
-        the corpus generation signature for corpora), so a submit issued
-        after an :meth:`apply_delta` committed never joins a pre-delta
-        flight.
+        Includes the fine-grained ``delta_epoch``, so a submit issued after
+        an :meth:`apply_delta` committed never joins a pre-delta flight.
         """
-        if self._corpus is not None:
-            return ("corpus", self._corpus.num_shards, self._corpus.generation_signature())
         return (
-            "session",
             self._dataspace.generation,
             self._dataspace.document_version,
             self._dataspace.delta_epoch,
@@ -197,12 +159,7 @@ class QueryService:
 
     def executor_config(self) -> dict:
         """The service's chosen executor configuration (for benchmarks/ops)."""
-        config: dict = {
-            "max_workers": self._max_workers,
-        }
-        if self._corpus is not None:
-            config["corpus"] = self._corpus.executor_config()
-        return config
+        return {"max_workers": self._max_workers}
 
     def close(self, *, wait: bool = True) -> None:
         """Shut the pool down; queued work finishes when ``wait`` is true.
@@ -246,8 +203,6 @@ class QueryService:
         >>> # with QueryService(ds) as service:
         >>> #     service.apply_delta(MappingDelta.build(reweight={0: 0.2, 1: 0.3}))
         """
-        if self._corpus is not None:
-            return self._corpus.apply_delta(delta)
         return self._dataspace.apply_delta(delta)
 
     def apply_delta_batch(self, batch):
@@ -261,8 +216,6 @@ class QueryService:
         deltas; returns the session's
         :class:`~repro.engine.streaming.DeltaBatchReport`.
         """
-        if self._corpus is not None:
-            return self._corpus.apply_delta_batch(batch)
         return self._dataspace.apply_delta_batch(batch)
 
     # ------------------------------------------------------------------ #
@@ -278,9 +231,7 @@ class QueryService:
         returns, and every delta batch applied through this service (or
         directly on the session) delivers incremental diffs.  Returns the
         :class:`~repro.engine.streaming.Subscription` handle.  Callbacks run
-        on the committing thread and must not block; for corpus-backed
-        services the subscription registers on the underlying session, so
-        batches applied via :meth:`apply_delta_batch` notify it either way.
+        on the committing thread and must not block.
         """
         return self._dataspace.subscribe(query, k=k, callback=callback)
 
@@ -304,17 +255,13 @@ class QueryService:
         This is the path replay drivers use: the driver owns the
         concurrency, the service contributes caching and accounting.
         """
-        self._check_plan(plan)
         with self._lock:
             self._submitted += 1
         started = time.perf_counter()
         try:
-            if self._corpus is not None:
-                result = self._corpus.execute(query, k=k, use_cache=self._use_cache)
-            else:
-                result = self._dataspace.execute(
-                    query, k=k, plan=plan, use_cache=self._use_cache
-                )
+            result = self._dataspace.execute(
+                query, k=k, plan=plan, use_cache=self._use_cache
+            )
         except Exception:
             self._record(started, failed=True)
             raise
@@ -329,10 +276,10 @@ class QueryService:
         A hit counts (and is timed) as one completed request; ``None``
         counts nothing, so the caller's fallback to :meth:`execute` or
         :meth:`submit` counts the request once.  Always ``None`` on a
-        corpus-backed, cache-less or closed service.  See
+        cache-less or closed service.  See
         :meth:`PreparedQuery.cached <repro.engine.prepared.PreparedQuery.cached>`.
         """
-        if self._corpus is not None or not self._use_cache or self._closed:
+        if not self._use_cache or self._closed:
             return None
         started = time.perf_counter()
         result = self._dataspace.cached(query, k=k, plan=plan)
@@ -355,17 +302,12 @@ class QueryService:
         is part of the flight key.
         """
         self._check_open()
-        self._check_plan(plan)
         prepared = self._dataspace.prepare(query)
         plan_name = plan if isinstance(plan, str) or plan is None else plan.name
         flight_key = (prepared.cache_key, plan_name, k, self._flight_scope())
         started = time.perf_counter()
 
-        corpus = self._corpus
-
         def run() -> "PTQResult":
-            if corpus is not None:
-                return corpus.execute(query, k=k, use_cache=self._use_cache)
             return prepared.execute(k=k, plan=plan, use_cache=self._use_cache)
 
         def done(f: "Future[PTQResult]") -> None:
@@ -423,7 +365,6 @@ class QueryService:
         executor: one snapshot for the whole batch, duplicate queries
         collapsed, resolve/filter shared, evaluation parallel.
         """
-        self._check_plan(plan)
         queries = list(queries)
         with self._lock:
             if self._closed:
@@ -431,25 +372,14 @@ class QueryService:
             self._submitted += len(queries)
         timings_ms: list[float] = []
         try:
-            if self._corpus is not None:
-                # Route the batch across shards: one pool worker per query,
-                # each query's scatter evaluated inline in its worker.
-                results = self._corpus.execute_batch(
-                    queries,
-                    k=k,
-                    use_cache=self._use_cache,
-                    executor=self._pool,
-                    timings_ms=timings_ms,
-                )
-            else:
-                results = self._dataspace.query_batch(
-                    queries,
-                    k=k,
-                    plan=plan,
-                    executor=self._pool,
-                    use_cache=self._use_cache,
-                    timings_ms=timings_ms,
-                )
+            results = self._dataspace.query_batch(
+                queries,
+                k=k,
+                plan=plan,
+                executor=self._pool,
+                use_cache=self._use_cache,
+                timings_ms=timings_ms,
+            )
         except Exception as error:
             # The batch fails as a unit: account every submitted slot as
             # completed-with-error so submitted == completed always converges

@@ -10,9 +10,8 @@ Layering (bottom to top):
   (de)serialization of the engine's expensive artifacts and the per-session
   manifest that ties them together under one ref.
 * Engine integration — ``Dataspace.persist()`` / ``Dataspace.from_store()``
-  and the ``store=`` parameters on ``Dataspace.from_dataset``,
-  ``workloads.open_dataspace`` / ``open_corpus`` and
-  ``ShardedCorpus.from_datasets`` (see :doc:`docs/persistence`).
+  and the ``store=`` parameters on ``Dataspace.from_dataset`` and
+  ``workloads.open_dataspace`` (see :doc:`docs/persistence`).
 """
 
 from repro.store.artifacts import ArtifactStore, SessionBundle, canonical_bytes

@@ -3,8 +3,7 @@
 This is the middle layer of the persistence stack: it turns the engine's
 expensive artifacts — schemas, the schema matching, the mapping set, the
 :class:`~repro.engine.compiled.CompiledMappingSet` bitset columns, the
-finalized source document, :class:`~repro.corpus.sharding.DocumentPartition`
-layouts and result-cache snapshots — into *canonical* JSON payloads, stores
+finalized source document and result-cache snapshots — into *canonical* JSON payloads, stores
 each as one block, and ties them together with a per-session **manifest**
 pointed at by a mutable ref.
 
@@ -54,8 +53,6 @@ __all__ = [
     "attach_compiled",
     "document_payload",
     "document_from_payload",
-    "partition_layout",
-    "partition_from_layout",
     "result_entries_payload",
     "manifest_block_keys",
     "SessionBundle",
@@ -284,66 +281,13 @@ def document_from_payload(payload: dict, schema: Schema) -> XMLDocument:
 
 
 # --------------------------------------------------------------------------- #
-# Shard partition layouts
-# --------------------------------------------------------------------------- #
-def partition_layout(partition) -> dict:
-    """Canonical layout of a :class:`DocumentPartition`: spine + subtree tops.
-
-    A shard view is fully determined by the base document, the spine node
-    ids and each shard's frontier subtree top node ids, so that is all the
-    layout records — rebuilding re-derives the per-element candidate index.
-    """
-    spine_ids = partition.spine_node_ids
-    shards = []
-    for shard in partition.shards:
-        tops: list[int] = []
-        for nodes in shard._by_element.values():
-            for node in nodes:
-                if node.node_id in spine_ids:
-                    continue
-                parent = node.parent
-                if parent is None or parent.node_id in spine_ids:
-                    tops.append(node.node_id)
-        shards.append(sorted(tops))
-    return {
-        "kind": "partition",
-        "num_shards": partition.num_shards,
-        "spine": sorted(spine_ids),
-        "shards": shards,
-    }
-
-
-def partition_from_layout(document: XMLDocument, layout: dict):
-    """Rebuild a :class:`DocumentPartition` of ``document`` from its layout."""
-    from repro.corpus.sharding import DocumentPartition, ShardDocument
-
-    spine_nodes = [document.get(node_id) for node_id in layout["spine"]]
-    shards = tuple(
-        ShardDocument(
-            document,
-            shard_id,
-            spine_nodes,
-            [document.get(node_id) for node_id in tops],
-        )
-        for shard_id, tops in enumerate(layout["shards"])
-    )
-    return DocumentPartition(
-        document=document,
-        shards=shards,
-        spine_node_ids=frozenset(layout["spine"]),
-        spine_element_ids=frozenset(node.element_id for node in spine_nodes),
-    )
-
-
-# --------------------------------------------------------------------------- #
 # Result-cache snapshots
 # --------------------------------------------------------------------------- #
 def result_entries_payload(entries: Iterable[tuple]) -> dict:
     """Canonical payload of result-cache entries.
 
     ``entries`` holds ``(CacheKey, PTQResult)`` pairs (the session filters
-    down to plain-text, session-scoped keys of its current signature before
-    calling this).  Matches are canonical ``(query_node, document_node)``
+    down to plain-text keys of its current signature before calling this).  Matches are canonical ``(query_node, document_node)``
     pair tuples, serialized sorted so equal results produce equal bytes.
     """
     rows = []
@@ -372,15 +316,16 @@ def result_entries_payload(entries: Iterable[tuple]) -> dict:
 
 
 def manifest_block_keys(manifest: dict) -> list[str]:
-    """Every block key a session manifest references (the gc live-set edge)."""
+    """Every block key a session manifest references (the gc live-set edge).
+
+    Manifests written by older releases may also name shard-partition
+    layouts (``partitions``) and planner statistics (``statistics``).  Nothing
+    reads those blocks any more, but they stay live so such a manifest never
+    names a missing block.
+    """
     keys = list(manifest.get("artifacts", {}).values())
     keys.extend(manifest.get("partitions", {}).values())
-    results_key = manifest.get("results")
-    if results_key:
-        keys.append(results_key)
-    statistics_key = manifest.get("statistics")
-    if statistics_key:
-        keys.append(statistics_key)
+    keys.extend(key for key in (manifest.get("results"), manifest.get("statistics")) if key)
     return keys
 
 
@@ -388,11 +333,8 @@ def manifest_block_keys(manifest: dict) -> list[str]:
 class SessionBundle:
     """Everything :meth:`ArtifactStore.load_session` recovered for one ref.
 
-    ``partitions`` maps shard counts to raw layout payloads (rebuilt lazily
-    against the loaded document) and ``results`` holds raw result-entry rows
-    (the session re-parses query texts itself).  ``statistics`` carries the
-    planner's persisted statistics payload (``None`` when the session saved
-    none).  ``load_ms`` records the per-artifact deserialization cost,
+    ``results`` holds raw result-entry rows (the session re-parses query
+    texts itself).  ``load_ms`` records the per-artifact deserialization cost,
     surfaced by ``explain()`` as artifact provenance.
     """
 
@@ -406,9 +348,7 @@ class SessionBundle:
     mapping_set: MappingSet
     document: XMLDocument
     compiled_loaded: bool
-    partitions: dict[int, dict] = field(default_factory=dict)
     results: list[dict] = field(default_factory=list)
-    statistics: Optional[dict] = None
     load_ms: dict[str, float] = field(default_factory=dict)
 
 
@@ -482,9 +422,7 @@ class ArtifactStore:
         mapping_set: MappingSet,
         document: XMLDocument,
         compiled=None,
-        partitions: Optional[dict[int, dict]] = None,
         results: Optional[Iterable[tuple]] = None,
-        statistics: Optional[dict] = None,
     ) -> dict:
         """Persist one session state under ``ref``; return a small report.
 
@@ -502,24 +440,17 @@ class ArtifactStore:
         }
         if compiled is not None:
             artifacts["compiled"] = self.put_payload(compiled_payload(compiled))
-        partition_keys = {
-            str(num_shards): self.put_payload(layout)
-            for num_shards, layout in sorted((partitions or {}).items())
-        }
         results_key = None
         result_rows = list(results) if results is not None else []
         if result_rows:
             results_key = self.put_payload(result_entries_payload(result_rows))
-        statistics_key = self.put_payload(statistics) if statistics else None
         manifest = {
             "kind": "dataspace",
             "format": MANIFEST_FORMAT,
             "config": config,
             "signature": signature,
             "artifacts": artifacts,
-            "partitions": partition_keys,
             "results": results_key,
-            "statistics": statistics_key,
         }
         manifest_key = self.put_payload(manifest)
         self.blocks.set_ref(ref, manifest_key)
@@ -527,7 +458,6 @@ class ArtifactStore:
             "ref": ref,
             "manifest": manifest_key,
             "artifacts": len(artifacts),
-            "partitions": len(partition_keys),
             "results": len(result_rows),
             "elapsed_ms": (time.perf_counter() - started) * 1000.0,
         }
@@ -618,16 +548,9 @@ class ArtifactStore:
                 self.get_payload(artifacts["document"]), source_schema
             ),
         )
-        partitions = {
-            int(num_shards): self.get_payload(key)
-            for num_shards, key in manifest.get("partitions", {}).items()
-        }
         results: list[dict] = []
         if manifest.get("results"):
             results = self.get_payload(manifest["results"])["entries"]
-        statistics: Optional[dict] = None
-        if manifest.get("statistics"):
-            statistics = self.get_payload(manifest["statistics"])
         return SessionBundle(
             ref=ref,
             manifest_key=manifest_key,
@@ -639,9 +562,7 @@ class ArtifactStore:
             mapping_set=mapping_set,
             document=document,
             compiled_loaded=compiled_loaded,
-            partitions=partitions,
             results=results,
-            statistics=statistics,
             load_ms=load_ms,
         )
 

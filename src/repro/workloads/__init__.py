@@ -40,7 +40,6 @@ __all__ = [
     "load_query",
     "standard_queries",
     "open_dataspace",
-    "open_corpus",
 ]
 
 
@@ -61,30 +60,3 @@ def open_dataspace(dataset_id: str, **kwargs):
     from repro.engine import Dataspace
 
     return Dataspace.from_dataset(dataset_id, **kwargs)
-
-
-def open_corpus(dataset_ids, *, shards: int = 2, **kwargs):
-    """Open a sharded corpus (:class:`repro.corpus.ShardedCorpus`) on a workload.
-
-    A single dataset id opens one session and subtree-shards its document
-    into ``shards`` shards (results byte-identical to the unsharded engine);
-    a sequence of ids opens one session per dataset and gives each dataset
-    ``shards`` subtree shards, with global top-k answered scatter-gather
-    across all of them.  Keyword arguments (``h``, ``seed``, ``cache_size``,
-    ``max_workers``, ``store``) pass through; a populated ``store`` reopens
-    every member session from persisted artifacts, including remembered
-    shard-partition layouts.
-    """
-    from repro.corpus import ShardedCorpus
-
-    if isinstance(dataset_ids, str):
-        session = open_dataspace(
-            dataset_ids,
-            **{key: value for key, value in kwargs.items() if key != "max_workers"},
-        )
-        return ShardedCorpus.from_dataspace(
-            session, shards, max_workers=kwargs.get("max_workers")
-        )
-    return ShardedCorpus.from_datasets(
-        list(dataset_ids), shards_per_dataset=shards, **kwargs
-    )

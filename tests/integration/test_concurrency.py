@@ -207,66 +207,3 @@ class TestConfigureInterleaving:
             writer.join(timeout=60)
         assert not errors
 
-
-class TestShardedCorpusInterleaving:
-    def test_corpus_no_torn_reads_deterministic_per_generation(self, session):
-        """Hammer scatter-gather while configure()/invalidate() interleave.
-
-        Every gather records the generation signature it evaluated against;
-        per (generation, query) the merged answer set must be unique across
-        all reader threads — a torn shard state (partition from one
-        generation, compiled artifacts from another) or a mis-scoped cache
-        hit would surface as a second distinct set.  Results must also stay
-        byte-identical to a fresh unsharded evaluation at the end.
-        """
-        corpus = session.shard(3)
-        stop = threading.Event()
-        errors: list[BaseException] = []
-        records: list[tuple[int, str, frozenset]] = []
-        lock = threading.Lock()
-
-        def worker():
-            try:
-                while not stop.is_set():
-                    for query in QUERIES:
-                        execution = corpus.gather(query)
-                        generation = execution.generations[0][1]
-                        with lock:
-                            records.append(
-                                (generation, query, canonical(execution.result))
-                            )
-            except BaseException as error:  # noqa: BLE001 - collected for the assertion
-                errors.append(error)
-                stop.set()
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        import time
-
-        for round_index in range(30):
-            if stop.is_set():
-                break
-            if round_index % 2 == 0:
-                session.configure(h=3 + (round_index // 2) % 3)
-            else:
-                session.invalidate()
-            time.sleep(0.002)
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not errors
-        assert len(records) >= 50
-        assert len({generation for generation, _, _ in records}) >= 3
-
-        distinct: dict[tuple[int, str], set] = {}
-        for generation, query, answers in records:
-            distinct.setdefault((generation, query), set()).add(answers)
-        conflicting = {key for key, values in distinct.items() if len(values) != 1}
-        assert not conflicting
-
-        # Final state: sharded (cached and uncached) == unsharded fresh.
-        for query in QUERIES:
-            fresh = session.execute(query, use_cache=False)
-            assert canonical(corpus.execute(query, use_cache=False)) == canonical(fresh)
-            assert canonical(corpus.execute(query)) == canonical(fresh)

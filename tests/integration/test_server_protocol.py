@@ -547,9 +547,7 @@ class TestLoopServedHits:
         with raw_socket(harness.port) as sock:
             send_request(sock, request)
             recv_frame(sock)  # warm
-            key = dataspace.prepare("Q1").cache_key
             cache, stats = dataspace.result_cache.stats(), service.stats()
-            planner_hits = dataspace.planner.statistics(key).cache_hits
             loop = served_on_loop(harness.server)
             for _ in range(hits):
                 send_request(sock, request)
@@ -559,7 +557,6 @@ class TestLoopServedHits:
             assert after_cache.misses == cache.misses
             assert after_stats["submitted"] - stats["submitted"] == hits
             assert after_stats["completed"] - stats["completed"] == hits
-            assert dataspace.planner.statistics(key).cache_hits - planner_hits == hits
             assert served_on_loop(harness.server) - loop == hits
             # One miss: probed on the loop uncounted, counted once by the executor.
             send_request(sock, QueryRequest(query="Q1", k=13))
@@ -718,21 +715,30 @@ class TestHttp:
         assert reply["body"]["error"]["code"] == "bad-request"
 
     def test_calibrate_shard_counts_is_bad_request(self, harness, service):
-        # Calibration measures in-process plans only: a request still carrying
-        # the retired shard-count field gets a typed error, not a silent ignore.
-        body = {"query": "Q1", "shard_counts": [4]}
-        envelope = canonical_json({"v": PROTOCOL_VERSION, "op": "calibrate", "body": body})
-        with pytest.raises(BadRequestError, match="shard_counts"):
+        # The cost model and its calibrate operation are gone: a calibrate
+        # request, with or without the older shard-count field, gets a typed
+        # error in process and over HTTP, never a silent ignore.
+        for body in ({"query": "Q1", "shard_counts": [4]}, {"query": "Q1"}):
+            self._assert_bad_request(harness, service, "calibrate", body, "calibrate")
+
+    def test_explain_analyze_is_bad_request(self, harness, service):
+        body = {"query": "Q1", "analyze": True}
+        self._assert_bad_request(harness, service, "explain", body, "analyze")
+
+    @staticmethod
+    def _assert_bad_request(harness, service, op, body, names):
+        envelope = canonical_json({"v": PROTOCOL_VERSION, "op": op, "body": body})
+        with pytest.raises(BadRequestError, match=names):
             ApiHandler(service).handle(decode_request(envelope))
         payload = canonical_json(body)
         status, reply = http_exchange(
             harness.port,
-            f"POST /v1/calibrate HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            f"POST /v1/{op} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
             f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload,
         )
         assert status == 400
         assert reply["body"]["error"]["code"] == "bad-request"
-        assert "shard_counts" in reply["body"]["error"]["message"]
+        assert names in reply["body"]["error"]["message"]
 
     def test_health(self, harness):
         status, payload = http_exchange(

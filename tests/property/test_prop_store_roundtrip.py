@@ -6,8 +6,7 @@ persisted it.  On hypothesis-generated scenarios this suite pins:
 
 * a reopened ``CompiledMappingSet`` is dict-equal, column by column, to a
   fresh compile of the original mapping set;
-* query results are byte-identical across every plan and across shard
-  counts {1, 2, 4, 7} after a round trip;
+* query results are byte-identical across every plan after a round trip;
 * state produced by chained deltas survives a round trip — the reopened
   session answers exactly like the session that applied the deltas;
 * an overlay-staged delta is queryable without touching the base store
@@ -80,21 +79,6 @@ class TestStoreRoundtrip:
         assert answer_list(session.execute(query, k=2, use_cache=False)) == answer_list(
             reopened.execute(query, k=2, use_cache=False)
         )
-
-    @settings(max_examples=15, deadline=None)
-    @given(query_scenarios(), st.sampled_from([1, 2, 4, 7]))
-    def test_sharded_results_identical_after_reopen(self, scenario, num_shards):
-        _, _, query, _ = scenario
-        session = open_session(scenario)
-        expected = answer_list(session.execute(query, use_cache=False))
-        # Shard the original (remembering its partition layout), persist,
-        # then shard the reopened session: the restored layout must produce
-        # byte-identical scatter-gather answers.
-        assert answer_list(session.shard(num_shards).execute(query)) == expected
-        reopened = roundtrip(session)
-        corpus = reopened.shard(num_shards)
-        assert answer_list(corpus.execute(query, use_cache=False)) == expected
-        assert corpus.describe()["partitions_restored"] >= 1
 
     @settings(max_examples=15, deadline=None)
     @given(query_scenarios(), st.integers(0, 100_000), st.integers(0, 100_000))

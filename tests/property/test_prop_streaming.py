@@ -13,7 +13,6 @@ that property:
   from-scratch reference session, for full (``k=None``) and top-k standing
   queries;
 * across every evaluation plan (``basic``, ``blocktree``, ``compiled``);
-* across scatter-gather execution at shard counts {1, 2, 4, 7};
 * together with the delivery invariants: updates arrive in strictly
   increasing epoch order, never for an epoch from before the subscription's
   baseline, and at most once per committed epoch.
@@ -36,10 +35,6 @@ from test_prop_delta_equivalence import random_delta
 #: Bitset kernels the compiled plan runs on.  Python ints are the only
 #: implementation; the axis keeps the case id naming them.
 KERNELS = ("python",)
-
-#: Scatter-gather layouts the replayed stream is pinned against.
-SHARD_COUNTS = (1, 2, 4, 7)
-
 
 def hex_rows(rows) -> list[tuple]:
     """Byte-stable view of answer rows: ``float.hex()`` probabilities."""
@@ -113,26 +108,6 @@ class TestStreamingReplay:
             assert hex_rows(full_rows) == hex_rows(
                 reference.execute(query, plan=plan, use_cache=False)
             ), f"replayed stream diverges from plan {plan}"
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        scenario=query_scenarios(),
-        seeds=st.lists(st.integers(0, 100_000), min_size=1, max_size=2),
-        num_shards=st.sampled_from(SHARD_COUNTS),
-    )
-    def test_replay_identical_to_scatter_gather(self, scenario, seeds, num_shards):
-        mapping_set, document, query, tau = scenario
-        session = Dataspace.from_mapping_set(mapping_set, document=document, tau=tau)
-        events = []
-        session.subscribe(query, callback=events.append)
-        for seed in seeds:
-            batch = random_batch(session.mapping_set, seed)
-            if batch is not None:
-                session.apply_delta_batch(batch)
-        corpus = session.shard(num_shards)
-        assert hex_rows(replayed_rows(events)) == hex_rows(
-            corpus.execute(query, use_cache=False)
-        )
 
     @settings(max_examples=15, deadline=None)
     @given(

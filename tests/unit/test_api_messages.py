@@ -11,8 +11,6 @@ from repro.api import (
     BadRequestError,
     BatchRequest,
     BatchResponse,
-    CalibrateRequest,
-    CalibrateResponse,
     DeltaRequest,
     DeltaResponse,
     ErrorResponse,
@@ -35,8 +33,7 @@ REQUESTS = [
     QueryRequest(query="Q1", k=5, plan="compiled", use_cache=False, stream=True),
     BatchRequest(queries=("Q1", "Q2"), k=3),
     DeltaRequest(delta={"reweight": {"0": 0.5}}),
-    ExplainRequest(query="Q7", analyze=True),
-    CalibrateRequest(query="Q1", plans=("basic", "compiled")),
+    ExplainRequest(query="Q7", k=3, plan="basic"),
     StatsRequest(),
     PingRequest(),
 ]
@@ -46,7 +43,6 @@ RESPONSES = [
     BatchResponse(queries=("Q1",), results=({"num_answers": 0, "answers": []},)),
     DeltaResponse(report={"changed": 1}),
     ExplainResponse(report={"plan": "compiled"}),
-    CalibrateResponse(timings={"basic": 1.5}),
     StatsResponse(stats={"cache": {}}),
     PingResponse(),
     ErrorResponse(error={"code": "query", "type": "QueryError", "message": "x"}),
@@ -128,14 +124,23 @@ class TestRejection:
             decode_request(encode_message(response))
 
     def test_calibrate_shard_counts_rejected(self):
-        # Calibration measures in-process plans only; a shard-count list is
-        # refused rather than silently ignored.
+        # The calibrate operation is gone with the cost model: a request for
+        # it, with or without the older shard-count list, is refused rather
+        # than silently ignored.
+        for body in ({"query": "Q1"}, {"query": "Q1", "shard_counts": [4]}):
+            payload = {"v": PROTOCOL_VERSION, "op": "calibrate", "body": body}
+            with pytest.raises(BadRequestError, match="unknown operation 'calibrate'"):
+                decode_request(json.dumps(payload).encode())
+
+    def test_explain_analyze_rejected(self):
+        # explain(analyze=True) compared cost-model estimates that no longer
+        # exist; the field is refused rather than silently ignored.
         payload = {
             "v": PROTOCOL_VERSION,
-            "op": "calibrate",
-            "body": {"query": "Q1", "shard_counts": [4]},
+            "op": "explain",
+            "body": {"query": "Q1", "analyze": True},
         }
-        with pytest.raises(BadRequestError, match="shard_counts"):
+        with pytest.raises(BadRequestError, match="analyze"):
             decode_request(json.dumps(payload).encode())
 
     def test_unknown_field_rejected(self):

@@ -15,8 +15,6 @@ from repro.api.serialize import (
     canonical_json,
     delta_report_from_json,
     delta_report_to_json,
-    execution_from_json,
-    execution_to_json,
     explain_from_json,
     explain_to_json,
     result_from_json,
@@ -162,22 +160,3 @@ class TestReportCodecs:
         assert canonical_json(
             delta_report_to_json(delta_report_from_json(payload))
         ) == canonical_json(payload)
-
-    def test_execution_round_trip(self, dataspace):
-        corpus = dataspace.shard(2)
-        execution = corpus.explain("Q1", k=5)
-        payload = execution_to_json(execution)
-        assert canonical_json(
-            execution_to_json(execution_from_json(payload))
-        ) == canonical_json(payload)
-
-    def test_execution_answers_are_canonical(self, dataspace):
-        corpus = dataspace.shard(2)
-        execution = corpus.explain("Q1")
-        payload = execution_to_json(execution)
-        assert len(payload["answers"]) == execution.merged_answers
-        for answer in payload["answers"]:
-            assert {"dataset", "mapping_id", "probability", "matches"} <= set(answer)
-            assert math.isfinite(float.fromhex(answer["probability"]))
-        # The whole payload is canonical-JSON clean (no NaN, JSON-native types).
-        assert json.loads(canonical_json(payload)) == payload

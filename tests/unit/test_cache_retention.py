@@ -77,15 +77,15 @@ class TestRetainPrimitive:
 
     def test_probability_insensitive_skips_the_mapping_check(self):
         cache = ResultCache(8)
-        cache.put(key_at(0, scope="shard", shard=0, shards=4), "partial")
+        cache.put(key_at(0, query="Q1"), "partial")
         # A pure reweight: probability-dirty, structurally clean.
         cache.record_delta(1, probability_mask=0b0011, target_mask=0)
-        key = key_at(1, scope="shard", shard=0, shards=4)
+        key = key_at(1, query="Q1")
         # Probability-sensitive: dies.
         assert cache.lookup(key, 0b0011, 0) == (None, "miss")
-        cache.put(key_at(0, scope="shard", shard=1, shards=4), "partial-1")
+        cache.put(key_at(0, query="Q2"), "partial-1")
         assert cache.lookup(
-            key_at(1, scope="shard", shard=1, shards=4),
+            key_at(1, query="Q2"),
             0b0011,
             0,
             probability_sensitive=False,
@@ -93,10 +93,10 @@ class TestRetainPrimitive:
 
     def test_insensitive_still_dies_on_target_dirt(self):
         cache = ResultCache(8)
-        cache.put(key_at(0, scope="shard", shard=0, shards=4), "partial")
+        cache.put(key_at(0, query="Q1"), "partial")
         cache.record_delta(1, probability_mask=0, target_mask=1 << 3)
         assert cache.lookup(
-            key_at(1, scope="shard", shard=0, shards=4),
+            key_at(1, query="Q1"),
             0,
             1 << 3,
             probability_sensitive=False,
@@ -258,133 +258,3 @@ class TestEngineRetention:
             )
         )
         assert session.execute("ORDER/SUPPLIER_PARTY") is not warm
-
-
-class TestMultiDatasetTopKInvalidation:
-    """Top-k partials depend on the *global* selection across sessions.
-
-    ``_select()`` pools and thresholds probabilities across every member
-    session, so a top-k partial of session B must be retired when session A
-    changes — even though B's own state never moved.  Regression test for a
-    staleness bug where per-session partial keys let a cached D3 partial
-    (computed under the old global selection) serve after a delta to D2.
-    """
-
-    def test_topk_cached_equals_uncached_after_other_session_delta(self):
-        from repro.corpus import ShardedCorpus
-
-        corpus = ShardedCorpus.from_datasets(["D2", "D3"], shards_per_dataset=2, h=12)
-        session_a = corpus.sessions[0]
-        all_ids = list(range(12))
-
-        def concentrate(session, ids):
-            # Move the subset's whole mass onto its first member: changes the
-            # probability *multiset*, so the global top-k split shifts.
-            mapping_set = session.mapping_set
-            mass = sum(mapping_set[i].probability for i in ids)
-            reweight = {ids[0]: mass}
-            reweight.update({i: 0.0 for i in ids[1:]})
-            return MappingDelta.build(reweight=reweight)
-
-        def flatten(session, ids):
-            mapping_set = session.mapping_set
-            mass = sum(mapping_set[i].probability for i in ids)
-            return MappingDelta.build(
-                reweight={i: mass / len(ids) for i in ids}
-            )
-
-        def answers(use_cache):
-            return tuple(
-                (a.dataset, a.mapping_id, a.probability, a.matches)
-                for a in corpus.top_k("//ContactName", 5, use_cache=use_cache)
-            )
-
-        # Warm the top-k partials under the initial global selection, then
-        # reshape session A's probability distribution so the number of
-        # slots each session gets in the global top-5 changes — session B's
-        # own state never moves, but its cached partials must still retire.
-        assert answers(True) == answers(False)
-        corpus.apply_delta(concentrate(session_a, all_ids), dataset="D2")
-        assert answers(True) == answers(False)
-        corpus.apply_delta(flatten(session_a, all_ids), dataset="D2")
-        assert answers(True) == answers(False)
-
-    def test_full_partials_stay_per_session_scoped(self):
-        from repro.corpus import ShardedCorpus
-
-        corpus = ShardedCorpus.from_datasets(["D2", "D3"], shards_per_dataset=2, h=8)
-        session_a, session_b = corpus.sessions
-        corpus.gather("//ContactName")  # warm k=None partials for both
-        hits_before = session_b.result_cache.stats().hits
-        # A delta to session A must not retire session B's full partials:
-        # k=None selection is per-session, so B's keys are untouched.
-        mapping_set = session_a.mapping_set
-        corpus.apply_delta(
-            MappingDelta.build(
-                reweight={
-                    0: mapping_set[7].probability,
-                    7: mapping_set[0].probability,
-                }
-            ),
-            dataset="D2",
-        )
-        execution = corpus.gather("//ContactName")
-        b_reports = [
-            r for r in execution.shard_reports if r.dataset == "D3" and r.shard_id >= 0
-        ]
-        assert any(r.status == "cached" for r in b_reports)
-        assert session_b.result_cache.stats().hits > hits_before
-        # And the merged outcome still matches a cache-free evaluation.
-        fresh = corpus.gather("//ContactName", use_cache=False)
-        for name in ("D2", "D3"):
-            assert {
-                (a.mapping_id, a.matches, a.probability)
-                for a in execution.results[name]
-            } == {
-                (a.mapping_id, a.matches, a.probability) for a in fresh.results[name]
-            }
-
-
-class TestCorpusRetention:
-    def test_clean_shards_retained_after_delta(self, figure_mappings, figure_document):
-        session = Dataspace.from_mapping_set(figure_mappings, document=figure_document)
-        corpus = session.shard(2)
-        corpus.execute("ORDER/SUPPLIER_PARTY")  # warm merged result + partials
-        delta = MappingDelta.build(
-            reweight={
-                0: figure_mappings[3].probability,
-                3: figure_mappings[0].probability,
-            }
-        )
-        corpus.apply_delta(delta)
-        execution = corpus.explain("ORDER/SUPPLIER_PARTY")
-        # The merged result survived the delta outright.
-        assert execution.cache == "retained"
-
-    def test_dirty_merged_result_reevaluates_but_partials_retain(
-        self, figure_mappings, figure_document
-    ):
-        session = Dataspace.from_mapping_set(figure_mappings, document=figure_document)
-        corpus = session.shard(2)
-        before = corpus.explain("//CONTACT_NAME")  # all mappings relevant
-        delta = MappingDelta.build(
-            reweight={
-                0: figure_mappings[3].probability,
-                3: figure_mappings[0].probability,
-            }
-        )
-        corpus.apply_delta(delta)
-        execution = corpus.explain("//CONTACT_NAME")
-        # A reweight invalidates the merged (probability-carrying) result...
-        assert execution.cache == "miss"
-        # ...but the per-shard match partials are structurally clean: every
-        # shard that evaluated before is served as "retained" now.
-        evaluated_before = sum(
-            1 for r in before.shard_reports if r.status in ("evaluated", "spine")
-        )
-        assert execution.retained_shards == evaluated_before
-        assert execution.fan_out == len(execution.shard_reports)
-        unsharded = session.execute("//CONTACT_NAME", use_cache=False)
-        assert {(a.mapping_id, a.matches, a.probability) for a in execution.result} == {
-            (a.mapping_id, a.matches, a.probability) for a in unsharded
-        }

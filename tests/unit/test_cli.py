@@ -222,50 +222,23 @@ class TestCommands:
         assert "error:" in output
 
 
-class TestCorpusCommand:
-    def test_corpus_single_dataset(self):
-        code, output = run_cli(
-            "corpus", "D1", "//ContactName", "--shards", "3", "--num-mappings", "10"
-        )
-        assert code == 0
-        assert "3 shards over 1 dataset(s)" in output
-        assert "scatter-gather" in output
-        assert "fan-out:" in output
+class TestRemovedOptions:
+    """The sharded corpus and the cost model are gone, and so are their flags."""
 
-    def test_corpus_json_reports_fanout_and_skips(self):
-        code, output = run_cli(
-            "corpus", "D1", "//ContactName", "//Name",
-            "--shards", "2", "--num-mappings", "10", "--top-k", "3", "--json",
-        )
-        assert code == 0
-        payload = json.loads(output)
-        assert payload["datasets"] == ["D1"]
-        assert payload["num_shards"] == 2
-        assert len(payload["queries"]) == 2
-        report = payload["queries"][0]
-        for field in ("fan_out", "skipped_shards", "spine_rewrites",
-                      "duplicate_matches", "shards", "answers"):
-            assert field in report
-
-    def test_corpus_multi_dataset(self):
-        code, output = run_cli(
-            "corpus", "D1,D2", "//ContactName",
-            "--shards", "2", "--num-mappings", "8", "--top-k", "3", "--json",
-        )
-        assert code == 0
-        payload = json.loads(output)
-        assert payload["datasets"] == ["D1", "D2"]
-        assert payload["num_shards"] == 4
-
-    def test_corpus_unknown_dataset(self):
-        code, output = run_cli("corpus", "D99", "//Name")
-        assert code == 2
-        assert "error:" in output
-
-    def test_corpus_bad_query(self):
-        code, output = run_cli("corpus", "D1", "Order/[", "--num-mappings", "8")
-        assert code == 2
-        assert "error:" in output
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corpus", "D1", "//ContactName"],
+            ["serve", "D1", "--shards", "4"],
+            ["explain", "D1", "//ContactName", "--analyze"],
+        ],
+        ids=["corpus", "serve-shards", "explain-analyze"],
+    )
+    def test_rejected_by_the_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestDeltaCommand:

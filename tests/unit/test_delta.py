@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import Dataspace, MappingDelta, apply_mapping_delta
 from repro.engine.compiled import CompiledMappingSet
-from repro.exceptions import CorpusError, DataspaceError, MappingError
+from repro.exceptions import DataspaceError, MappingError
 from repro.mapping.mapping_set import MappingSet
 from repro.service import QueryService
 
@@ -291,26 +291,3 @@ class TestServiceAndCorpusDelta:
             figure_mappings[3].probability
         )
         assert answer_set(before) != answer_set(after)
-
-    def test_corpus_apply_delta_single_session(self, figure_mappings, figure_document):
-        session = Dataspace.from_mapping_set(figure_mappings, document=figure_document)
-        corpus = session.shard(2)
-        corpus.execute("//CONTACT_NAME")  # build shard state
-        swap = {0: figure_mappings[3].probability, 3: figure_mappings[0].probability}
-        corpus.apply_delta(MappingDelta.build(reweight=swap))
-        merged = corpus.execute("//CONTACT_NAME", use_cache=False)
-        unsharded = session.execute("//CONTACT_NAME", use_cache=False)
-        assert answer_set(merged) == answer_set(unsharded)
-        # The document did not change: the partition is reused, not re-cut.
-        assert corpus.describe()["partitions_reused"] >= 1
-
-    def test_corpus_apply_delta_needs_dataset_when_multi(self):
-        from repro.corpus import ShardedCorpus
-
-        corpus = ShardedCorpus.from_datasets(["D1", "D2"], h=5)
-        with pytest.raises(CorpusError, match="dataset"):
-            corpus.apply_delta(MappingDelta())
-        with pytest.raises(CorpusError, match="no corpus session"):
-            corpus.apply_delta(MappingDelta(), dataset="nope")
-        report = corpus.apply_delta(MappingDelta(), dataset="D1")
-        assert report.delta_epoch == 1

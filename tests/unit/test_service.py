@@ -539,73 +539,6 @@ class TestPercentile:
 
 
 # --------------------------------------------------------------------------- #
-# Corpus-backed service (scatter-gather routing)
-# --------------------------------------------------------------------------- #
-class TestCorpusBackedService:
-    @pytest.fixture()
-    def corpus(self, figure_dataspace):
-        return figure_dataspace.shard(3)
-
-    def test_execute_routes_through_scatter_gather(self, figure_dataspace, corpus):
-        with QueryService(corpus, max_workers=2) as service:
-            assert service.corpus is corpus
-            assert service.dataspace is figure_dataspace
-            served = service.execute(ICN_QUERY)
-        direct = figure_dataspace.execute(ICN_QUERY, use_cache=False)
-        assert answers_of(served) == answers_of(direct)
-
-    def test_submit_and_execute_many_match_session(self, figure_dataspace, corpus):
-        queries = [ICN_QUERY, SCN_QUERY, ICN_QUERY]
-        with QueryService(corpus, max_workers=2) as service:
-            futures = service.submit_many(queries)
-            submitted = [future.result(timeout=30) for future in futures]
-            batched = service.execute_many(queries)
-        # After close() the workers are joined, so every done-callback (which
-        # updates the completion counters) has run.
-        stats = service.stats()
-        for query, via_future, via_batch in zip(queries, submitted, batched):
-            direct = figure_dataspace.execute(query, use_cache=False)
-            assert answers_of(via_future) == answers_of(direct)
-            assert answers_of(via_batch) == answers_of(direct)
-        assert stats["completed"] == stats["submitted"]
-
-    def test_single_flight_scoped_to_corpus(self, corpus):
-        with QueryService(corpus, max_workers=2) as service:
-            first = service.submit(ICN_QUERY)
-            second = service.submit(ICN_QUERY)
-            first.result(timeout=30)
-            second.result(timeout=30)
-        # Identical concurrent submits may share one in-flight future; what
-        # matters is both complete and answers agree.
-        assert answers_of(first.result()) == answers_of(second.result())
-
-    def test_plan_override_rejected(self, corpus):
-        with QueryService(corpus, max_workers=2) as service:
-            with pytest.raises(DataspaceError):
-                service.execute(ICN_QUERY, plan="basic")
-            with pytest.raises(DataspaceError):
-                service.submit(ICN_QUERY, plan="blocktree")
-            with pytest.raises(DataspaceError):
-                service.execute_many([ICN_QUERY], plan="compiled")
-
-    def test_multi_dataset_corpus_rejected(self, figure_mappings, figure_document):
-        from repro.corpus import ShardedCorpus
-
-        first = Dataspace.from_mapping_set(figure_mappings, document=figure_document, name="L")
-        second = Dataspace.from_mapping_set(figure_mappings, document=figure_document, name="R")
-        corpus = ShardedCorpus([first, second])
-        with pytest.raises(DataspaceError):
-            QueryService(corpus)
-
-    def test_warm_corpus_requests_hit_cache(self, figure_dataspace, corpus):
-        with QueryService(corpus, max_workers=2) as service:
-            cold = service.execute(ICN_QUERY)
-            warm = service.execute(ICN_QUERY)
-        assert warm is cold
-        assert figure_dataspace.result_cache.stats().hits >= 1
-
-
-# --------------------------------------------------------------------------- #
 # Replay driver: mixed read/write streams
 # --------------------------------------------------------------------------- #
 class TestReplayDriver:

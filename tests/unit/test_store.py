@@ -398,6 +398,109 @@ class TestCorruptionFallsBackToRebuild:
         store.blocks.close()
 
 
+def hex_answers(result):
+    """Answers with probabilities as ``float.hex()``: byte-exact comparison."""
+    return sorted(
+        (a.mapping_id, sorted(map(sorted, a.matches)), a.probability.hex()) for a in result
+    )
+
+
+class TestOldShapeManifests:
+    """Stores written while the sharded corpus and the cost model existed.
+
+    Such a manifest also names shard-partition layouts (``partitions``) and
+    planner statistics (``statistics``).  Nothing reads those blocks now: the
+    session must reopen with byte-identical answers, ``repro store verify``
+    must pass before and after ``repro store gc``, and a new persist writes
+    neither key.
+    """
+
+    H = 4
+    QUERIES = ("//contactName", "//fax", "purchaseOrder")
+
+    def old_store(self, tmp_path):
+        path = str(tmp_path / "old.db")
+        with SqliteBlockStore(path) as blocks:
+            store = ArtifactStore(blocks)
+            session = Dataspace.from_dataset("D1", h=self.H, store=store)
+            expected = {
+                query: hex_answers(session.execute(query)) for query in self.QUERIES
+            }
+            report = session.persist()
+            manifest = store.get_payload(report["manifest"])
+            assert "partitions" not in manifest and "statistics" not in manifest
+            layout = {
+                "kind": "partition",
+                "num_shards": 2,
+                "spine": [0],
+                "shards": [[1], [2]],
+            }
+            statistics = {
+                "format": 1,
+                "signature": manifest["signature"],
+                "queries": [
+                    {
+                        "key": "//contactName",
+                        "executions": 3,
+                        "plans": {"compiled": {"count": 3, "ewma_ms": 0.5}},
+                        "topk_thresholds": {},
+                    }
+                ],
+            }
+            old = dict(
+                manifest,
+                partitions={"2": store.put_payload(layout)},
+                statistics=store.put_payload(statistics),
+            )
+            blocks.set_ref(report["ref"], store.put_payload(old))
+        return path, report["ref"], expected, old
+
+    @staticmethod
+    def cli(*argv) -> int:
+        import io
+
+        from repro.cli import main
+
+        return main(list(argv), out=io.StringIO())
+
+    def test_reopens_with_identical_answers_and_survives_gc(self, tmp_path):
+        path, ref, expected, old = self.old_store(tmp_path)
+        assert self.cli("store", "verify", "--path", path) == 0
+        assert self.cli("store", "gc", "--path", path) == 0
+        assert self.cli("store", "verify", "--path", path) == 0
+        with SqliteBlockStore(path) as blocks:
+            # gc keeps the old blocks live: the manifest never names a
+            # missing block.
+            assert blocks.has_block(old["partitions"]["2"])
+            assert blocks.has_block(old["statistics"])
+            store = ArtifactStore(blocks)
+            for session in (
+                Dataspace.from_dataset("D1", h=self.H, store=store),
+                Dataspace.from_store(store, ref),
+            ):
+                assert session.artifact_provenance()["mapping_set"]["source"] == "loaded"
+                for query in self.QUERIES:
+                    assert hex_answers(session.execute(query)) == expected[query]
+                    assert (
+                        hex_answers(session.execute(query, use_cache=False))
+                        == expected[query]
+                    )
+
+    def test_new_persist_drops_the_old_keys(self, tmp_path):
+        path, ref, expected, _ = self.old_store(tmp_path)
+        with SqliteBlockStore(path) as blocks:
+            store = ArtifactStore(blocks)
+            session = Dataspace.from_store(store, ref)
+            report = session.persist()
+            manifest = store.get_payload(report["manifest"])
+            assert "partitions" not in manifest and "statistics" not in manifest
+            assert store.gc()["removed"] >= 2
+            assert store.verify()["errors"] == 0
+            reopened = Dataspace.from_store(store, ref)
+            for query in self.QUERIES:
+                assert hex_answers(reopened.execute(query)) == expected[query]
+
+
 class FailOnWriteStore(MemoryBlockStore):
     """A block store that starts failing writes when ``fail`` is flipped."""
 

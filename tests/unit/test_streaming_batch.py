@@ -158,12 +158,11 @@ def test_batch_reverting_edit_touches_no_posting_list():
     # The touched/structural masks stay conservative (the mapping *was*
     # edited mid-batch), but the net dirt — what cache retention and
     # subscription classification consume — is empty: no posting list was
-    # touched, no target or source element is dirty.
+    # touched, no target element is dirty.
     assert effect.structural_mask == 1 << 2
     assert effect.posting_lists_touched == 0
     assert effect.dirty_target_mask == 0
     assert effect.dirty_targets == frozenset()
-    assert effect.dirty_source_mask == 0
     assert list(patched) == list(mapping_set)
 
 
