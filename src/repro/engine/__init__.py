@@ -33,7 +33,6 @@ from repro.engine.delta import (
     apply_mapping_delta,
 )
 from repro.engine.locking import ReadWriteLock
-from repro.engine.planner import canonical_text, normalize_query_text
 from repro.engine.plans import (
     BasicPlan,
     BlockTreePlan,
@@ -55,6 +54,7 @@ from repro.engine.streaming import (
     apply_delta_batch,
     apply_update,
 )
+from repro.query.normalize import canonical_text, normalize_query_text
 
 __all__ = [
     "Dataspace",

@@ -20,7 +20,8 @@ those operations become single bitwise AND / popcount steps:
   into groups sharing the same rewrite
   (:meth:`CompiledMappingSet.rewrite_groups`);
 * **probability column** — mapping probabilities as a flat tuple indexed by
-  mapping id.
+  mapping id, and its ranking: every id most probable first, sorted once per
+  artifact (:meth:`CompiledMappingSet.ranked_ids`).
 
 All columns are plain Python ints and float tuples: they are what
 :meth:`CompiledMappingSet.patched` edits, what the persistent store
@@ -51,6 +52,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 from repro.mapping.mapping_set import (
     MappingSet,
     MappingSubset,
+    ids_in_order,
     iter_mapping_ids,
     mapping_mask,
 )
@@ -80,6 +82,7 @@ class CompiledMappingSet:
         "num_mappings",
         "all_mask",
         "probabilities",
+        "_ranked",
         "_pair_masks",
         "_covered_masks",
         "_target_sources",
@@ -94,6 +97,7 @@ class CompiledMappingSet:
         self.probabilities: tuple[float, ...] = tuple(
             mapping.probability for mapping in mapping_set
         )
+        self._ranked: Optional[tuple[int, ...]] = None
         pair_masks: dict["CorrespondenceKey", int] = {}
         covered_masks: dict[int, int] = {}
         sources: dict[int, dict[int, int]] = {}
@@ -141,6 +145,7 @@ class CompiledMappingSet:
         self.all_mask = previous.all_mask
         # The probability column is the one full column a delta rebuilds.
         self.probabilities = tuple(mapping.probability for mapping in mapping_set)
+        self._ranked = None
         pair_masks = dict(previous._pair_masks)
         covered_masks = dict(previous._covered_masks)
         target_sources = dict(previous._target_sources)
@@ -327,6 +332,24 @@ class CompiledMappingSet:
         for mapping_id in iter_mapping_ids(mask):
             total += probabilities[mapping_id]
         return total
+
+    def ranked_ids(self) -> tuple[int, ...]:
+        """Every mapping id, most probable first, ties by ascending id.
+
+        The row order of every result over this artifact and the order of
+        top-k selection.  One stable sort of the probability column, done
+        on first use and kept: only a delta (a new artifact) re-sorts.
+        """
+        ranked = self._ranked
+        if ranked is None:
+            ranked = self._ranked = tuple(
+                sorted(range(self.num_mappings), key=self.probabilities.__getitem__, reverse=True)
+            )
+        return ranked
+
+    def top_k(self, mask: int, k: int) -> list[int]:
+        """The ``k`` most probable members of ``mask``, ties by ascending id (Definition 5)."""
+        return ids_in_order(self.ranked_ids(), mask, k)
 
     def max_probability(self) -> float:
         """Largest single mapping probability (top-k session upper bounds)."""

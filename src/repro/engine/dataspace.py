@@ -76,7 +76,6 @@ from repro.document.generator import generate_document
 from repro.engine.cache import CacheKey, ResultCache
 from repro.engine.delta import DeltaReport, MappingDelta
 from repro.engine.locking import ReadWriteLock
-from repro.engine.planner import canonical_text
 from repro.engine.plans import plan_for
 from repro.engine.prepared import PlanSpec, PreparedQuery, QueryBuilder
 from repro.engine.streaming import (
@@ -98,6 +97,7 @@ from repro.mapping.mapping import Mapping
 from repro.mapping.mapping_set import MappingSet, MappingSubset
 from repro.matching.matcher import MatcherConfig, SchemaMatcher
 from repro.matching.matching import SchemaMatching
+from repro.query.normalize import canonical_text
 from repro.query.parser import parse_twig
 from repro.query.ptq import filter_mappings
 from repro.query.resolve import Embedding
@@ -1292,7 +1292,7 @@ class Dataspace:
         Accepts a :class:`TwigQuery`, a twig pattern string, or — on dataset
         sessions — one of the paper's query ids (``"Q1"``…``"Q10"``).
         Query texts are keyed by their *canonical* rendering (see
-        :mod:`repro.engine.planner.normalize`), so equivalent spellings —
+        :mod:`repro.query.normalize`), so equivalent spellings —
         whitespace, predicate order, label aliases — share one prepared
         query and its resolve/filter caches;
         distinct twig objects are never conflated, even when their text

@@ -25,13 +25,13 @@ name the same plan).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.core.blocktree import BlockTree
 from repro.document.document import XMLDocument
 from repro.exceptions import QueryError
 from repro.mapping.mapping import Mapping
-from repro.mapping.mapping_set import MappingSet, MappingSubset
+from repro.mapping.mapping_set import MappingSet, MappingSubset, mapping_mask
 from repro.query.ptq import (
     evaluate_resolved_basic,
     evaluate_resolved_blocktree,
@@ -41,6 +41,9 @@ from repro.query.ptq import (
 from repro.query.resolve import Embedding, resolve_query
 from repro.query.results import PTQResult, rank_by_probability
 from repro.query.twig import TwigQuery
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.compiled import CompiledMappingSet
 
 __all__ = [
     "QueryPlan",
@@ -56,8 +59,16 @@ __all__ = [
 ]
 
 
-def select_top_k(relevant: Sequence[Mapping], k: int) -> list[Mapping]:
+def select_top_k(
+    relevant: Sequence[Mapping], k: int, compiled: Optional["CompiledMappingSet"] = None
+) -> list[Mapping]:
     """Keep the ``k`` most probable mappings (ties broken by mapping id).
+
+    With the ``compiled`` view of their mapping set, a
+    :class:`~repro.mapping.mapping_set.MappingSubset` is cut from the
+    view's ranking (:meth:`~repro.engine.compiled.CompiledMappingSet.top_k`),
+    which every selection over one artifact shares, instead of ranking the
+    mappings again.
 
     Raises
     ------
@@ -66,6 +77,8 @@ def select_top_k(relevant: Sequence[Mapping], k: int) -> list[Mapping]:
     """
     if k <= 0:
         raise QueryError(f"k must be positive, got {k}")
+    if compiled is not None and isinstance(relevant, MappingSubset):
+        return compiled.mappings_of(mapping_mask(compiled.top_k(relevant.mask, k)))
     return rank_by_probability(relevant)[:k]
 
 
@@ -138,7 +151,9 @@ class QueryPlan:
         else:
             selected = filter_mappings(mapping_set, embeddings)
         if k is not None:
-            selected = select_top_k(selected, k)
+            selected = select_top_k(
+                selected, k, mapping_set.compile() if self.uses_compiled else None
+            )
         return self.evaluate(
             query, mapping_set, document, embeddings, selected, block_tree
         )

@@ -330,8 +330,8 @@ class PreparedQuery:
         )
         compiled_stats = None
         if chosen.uses_compiled:
-            selected = relevant if k is None else select_top_k(relevant, k)
             compiled = mapping_set.compile()
+            selected = relevant if k is None else select_top_k(relevant, k, compiled)
             selected_mask = compiled.mask_for(selected)
             compiled_stats = compiled.rewrite_stats(
                 derive_rewrites(self._query, compiled, embeddings, selected_mask),

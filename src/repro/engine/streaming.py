@@ -27,8 +27,9 @@ module turns ``apply_delta`` into a production write path with two pieces:
   ========================  ================================================
   **unaffected**            masks AND dirt == 0 — two integer ANDs, no work
   **reweight-only**         probability column dirty, structure clean at the
-                            query's required targets — rescore cached rows
-                            (and build top-k entrants from the match table)
+                            query's required targets — compare the dirty
+                            members against the last delivered probability
+                            column (and build top-k entrants from the cells)
                             and emit changed entries only, no re-execution
   **structural**            required-target structure dirty — re-execute via
                             the normal execute path and diff
@@ -40,20 +41,19 @@ module turns ``apply_delta`` into a production write path with two pieces:
   re-executing the standing query from scratch at the new epoch returns —
   the differential property the streaming test harness pins across plans.
 
-Shared evaluation and the match table
--------------------------------------
+Shared evaluation and cells
+---------------------------
 A top-k result is a slice of the full PTQ result: its rows are the first k
 answers of the full result, which is already ordered by (-probability,
 mapping id) exactly as top-k selection orders the relevant mappings.  So
 every standing query of one prepared query takes its rows from **one**
 full (``k=None``) evaluation per notice, shared through the notice-scoped
-memo, and keeps that evaluation's ``mapping id -> matches`` *match table*
-for every relevant mapping.  A probability-only change cannot change any
-row's matches, so a reweight that moves new mappings into a top k builds
-their rows from the patched probability column and the table — no plan
-run and no twig matching.  One table is shared per prepared query and
-state (standing queries of the same query at the same state hold the same
-dict), so its memory is bounded by the query's relevant-mapping count.
+memo.  A standing query keeps that result's cells, the bitmask of the
+members its subscribers hold and the probability column it last delivered,
+and no per-mapping row.  A probability-only change cannot change any match
+set, so a reweight compares the dirty members with the delivered column, and
+a mapping entering a top k gets its row from the new column and its cell —
+no plan run and no twig matching.
 
 Lifecycle and delivery contract
 -------------------------------
@@ -86,7 +86,7 @@ from repro.engine.delta import (
 )
 from repro.exceptions import MappingError, QueryError
 from repro.mapping.mapping_set import MappingSet, iter_mapping_ids, mapping_mask
-from repro.query.results import CanonicalMatch, PTQAnswer, PTQResult, rank_by_probability
+from repro.query.results import PTQAnswer, PTQResult, rank_by_probability
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.dataspace import Dataspace, EngineSnapshot
@@ -108,9 +108,6 @@ __all__ = [
 #: Bound on the registry's remembered per-epoch dirt entries; a standing
 #: query lagging further behind is conservatively re-executed (structural).
 _MAX_NOTIFY_LOG = 64
-
-#: A standing query's match table: mapping id -> matches, every relevant mapping.
-MatchTable = dict[int, frozenset[CanonicalMatch]]
 
 
 # --------------------------------------------------------------------------- #
@@ -381,21 +378,21 @@ class _StandingQuery:
     """Registry-internal state of one registered (query, k) pair.
 
     All mutable fields are guarded by the registry's table lock.
-    ``baseline`` maps mapping id to the row the subscribers currently hold
-    (owned by this standing query: the reweight path edits it in place);
-    ``table`` is the :class:`_MatchTable` shared with the other standing
-    queries of the same query and state, and ``required_mask`` the target
-    elements the query's embeddings need; the table's relevant mask and
-    ``required_mask`` are the two integers the unaffected check ANDs.
+    ``result`` is the full (``k=None``) result at the last structural state;
+    its cells hold every relevant mapping's match set and its mask (the
+    relevant mask) and ``required_mask`` are what the unaffected check ANDs.
+    ``members`` masks the rows the subscribers hold (all, or the top k), and
+    ``probabilities`` is the column their probabilities were read from.
     """
 
     __slots__ = (
         "prepared",
         "k",
         "key",
-        "table",
         "required_mask",
-        "baseline",
+        "result",
+        "members",
+        "probabilities",
         "last_epoch",
         "generation",
         "document_version",
@@ -407,9 +404,8 @@ class _StandingQuery:
         prepared: "PreparedQuery",
         k: Optional[int],
         key: tuple[str, Optional[int]],
-        table: _MatchTable,
         required_mask: int,
-        baseline: dict[int, PTQAnswer],
+        result: PTQResult,
         last_epoch: int,
         generation: int,
         document_version: int,
@@ -417,42 +413,29 @@ class _StandingQuery:
         self.prepared = prepared
         self.k = k
         self.key = key
-        self.table = table
         self.required_mask = required_mask
-        self.baseline = baseline
+        self.result = result
+        self.members = _top(result, k)[1]
+        self.probabilities = result._probabilities
         self.last_epoch = last_epoch
         self.generation = generation
         self.document_version = document_version
         self.subscribers: dict[int, "Subscription"] = {}
 
-
-class _MatchTable:
-    """The structural part of a standing query's state, shared per query and state.
-
-    ``matches`` maps every relevant mapping's id to its match set;
-    ``relevant_ids`` / ``relevant_mask`` are the relevant mappings in
-    ascending id order and as a bitmask.  Probability-only changes leave all
-    three exact, so a table outlives reweight notices and is replaced only
-    by a structural one.  Treated as immutable.
-    """
-
-    __slots__ = ("matches", "relevant_ids", "relevant_mask")
-
-    def __init__(self, result: PTQResult, relevant_mask: int) -> None:
-        self.matches: MatchTable = {row.mapping_id: row.matches for row in result.answers}
-        self.relevant_mask = relevant_mask
-        self.relevant_ids = tuple(iter_mapping_ids(relevant_mask))
+    def rows(self) -> list[PTQAnswer]:
+        """The rows the subscribers hold, ordered like result answers."""
+        probabilities = self.probabilities
+        matches_of = self.result._matches_of
+        return rank_by_probability(
+            PTQAnswer(mapping_id, probabilities[mapping_id], matches_of(mapping_id))
+            for mapping_id in iter_mapping_ids(self.members)
+        )
 
 
-def _top_rows(result: PTQResult, k: Optional[int]) -> dict[int, PTQAnswer]:
-    """A fresh baseline dict: the first ``k`` answers of a full result (all when ``None``).
-
-    The full result's answers are ordered by (-probability, mapping id),
-    exactly as top-k selection orders the relevant mappings, so its first
-    ``k`` rows are the top-k result.
-    """
-    answers = result.answers if k is None else result.answers[:k]
-    return {row.mapping_id: row for row in answers}
+def _top(result: PTQResult, k: Optional[int]) -> tuple[list[int], int]:
+    """Ids (in row order) and bitmask of the first ``k`` answers of a full result: the top k."""
+    ids = result._row_ids()
+    return (ids, result._mask) if k is None else (ids[:k], mapping_mask(ids[:k]))
 
 
 class Subscription:
@@ -604,7 +587,6 @@ class SubscriptionRegistry:
         prepared = ds.prepare(query)
         snap = ds.snapshot(need_tree=False)
         result = prepared.execute(k=None, snapshot=snap, use_cache=True)
-        relevant_mask = prepared.relevant_mappings(snap).mask
         key = (prepared.cache_key, k)
         with self._table_lock:
             standing = self._table.get(key)
@@ -614,10 +596,8 @@ class SubscriptionRegistry:
                     prepared=prepared,
                     k=k,
                     key=key,
-                    table=self._sibling_table(prepared, snap)
-                    or _MatchTable(result, relevant_mask),
                     required_mask=prepared.required_target_mask(),
-                    baseline=_top_rows(result, k),
+                    result=result,
                     last_epoch=snap.delta_epoch,
                     generation=snap.generation,
                     document_version=snap.document_version,
@@ -633,12 +613,15 @@ class SubscriptionRegistry:
                 kind="initial",
                 generation=standing.generation,
                 delta_epoch=standing.last_epoch,
-                added=tuple(rank_by_probability(standing.baseline.values())),
+                added=tuple(standing.rows()),
             )
             handle._record(initial)
-            self._deliver_one(handle, initial)
+            counts = {"notifications": 0, "callback_errors": 0}
+            self._deliver_one(handle, initial, counts)
             with self._stats_lock:
                 self._subscribed += 1
+                self._notifications += counts["notifications"]
+                self._callback_errors += counts["callback_errors"]
         if created:
             # Close the registration race: a batch that committed between the
             # baseline snapshot and the table insert drained before this
@@ -664,40 +647,19 @@ class SubscriptionRegistry:
         return handle
 
     def _evaluate(
-        self, prepared: "PreparedQuery", snapshot: "EngineSnapshot", memo: Optional[dict]
-    ) -> tuple[PTQResult, _MatchTable]:
-        """The full result of ``prepared`` at ``snapshot`` and its match table.
+        self, prepared: "PreparedQuery", snapshot: "EngineSnapshot", memo: dict
+    ) -> PTQResult:
+        """The full result of ``prepared`` at ``snapshot``.
 
         Runs the normal result-cached ``execute`` at ``k=None``
         once per notice: every standing query of ``prepared`` processed
-        under the same notice-scoped ``memo`` shares the result and table.
+        under the same notice-scoped ``memo`` shares the result.
         """
         memo_key = ("evaluation", prepared.cache_key)
-        shared = memo.get(memo_key) if memo is not None else None
-        if shared is None:
-            result = prepared.execute(k=None, snapshot=snapshot, use_cache=True)
-            shared = (result, _MatchTable(result, prepared.relevant_mappings(snapshot).mask))
-            if memo is not None:
-                memo[memo_key] = shared
-        return shared
-
-    def _sibling_table(
-        self, prepared: "PreparedQuery", snapshot: "EngineSnapshot"
-    ) -> Optional[_MatchTable]:
-        """The match table a standing query of ``prepared`` holds at ``snapshot``'s state.
-
-        Lets a new (query, k) registration share the table instead of
-        holding its own copy.  Called under the table lock.
-        """
-        for standing in self._table.values():
-            if (
-                standing.prepared is prepared
-                and standing.last_epoch == snapshot.delta_epoch
-                and standing.generation == snapshot.generation
-                and standing.document_version == snapshot.document_version
-            ):
-                return standing.table
-        return None
+        result = memo.get(memo_key)
+        if result is None:
+            result = memo[memo_key] = prepared.execute(k=None, snapshot=snapshot, use_cache=True)
+        return result
 
     def _cancel(self, standing: _StandingQuery, subscription_id: int) -> bool:
         """Detach one subscriber; drop the standing query when it empties."""
@@ -790,8 +752,8 @@ class SubscriptionRegistry:
             "update_errors": 0,
         }
         # Standing queries of the same query share one full evaluation, and
-        # those over the same relevant set one top-k reselection, per notice
-        # (see _evaluate and _top_ids).
+        # those over the same relevant set and k one top-k reselection, per
+        # notice (see _evaluate and _reweight_update).
         memo: dict = {}
         with self._table_lock:
             for standing in list(self._table.values()):
@@ -815,14 +777,12 @@ class SubscriptionRegistry:
     # ------------------------------------------------------------------ #
     # Classification and incremental updates
     # ------------------------------------------------------------------ #
-    def _accumulated_dirt(
-        self, standing: _StandingQuery, epoch: int
-    ) -> Optional[tuple[int, int]]:
+    def _accumulated_dirt(self, last_epoch: int, epoch: int) -> Optional[tuple[int, int]]:
         """OR of the logged dirt over ``(last_epoch, epoch]``; ``None`` on a gap."""
         probability_dirt = 0
         target_dirt = 0
         with self._log_lock:
-            for step in range(standing.last_epoch + 1, epoch + 1):
+            for step in range(last_epoch + 1, epoch + 1):
                 entry = self._log.get(step)
                 if entry is None:
                     return None
@@ -830,34 +790,37 @@ class SubscriptionRegistry:
                 target_dirt |= entry[1]
         return probability_dirt, target_dirt
 
-    def _classify(self, standing: _StandingQuery, notice: _Notice) -> tuple[str, int]:
+    def _classify(
+        self, standing: _StandingQuery, notice: _Notice, memo: dict
+    ) -> tuple[str, int]:
         """Partition one standing query for one notice (see module docstring).
 
         Returns ``(kind, probability_dirt)`` — the accumulated probability
         dirt is handed to the reweight path so the rescore touches exactly
         the dirty rows (``0`` for the other kinds, which don't consume it).
+        The dirt is accumulated once per ``last_epoch`` for the notice.
         """
         if (
             notice.generation != standing.generation
             or notice.document_version != standing.document_version
         ):
             return "structural", 0
-        dirt = self._accumulated_dirt(standing, notice.epoch)
+        memo_key = ("dirt", standing.last_epoch)
+        if memo_key in memo:
+            dirt = memo[memo_key]
+        else:
+            dirt = memo[memo_key] = self._accumulated_dirt(standing.last_epoch, notice.epoch)
         if dirt is None:
             return "structural", 0
         probability_dirt, target_dirt = dirt
         if target_dirt & standing.required_mask:
             return "structural", 0
-        if probability_dirt & standing.table.relevant_mask:
+        if probability_dirt & standing.result._mask:
             return "reweight", probability_dirt
         return "unaffected", 0
 
     def _advance(
-        self,
-        standing: _StandingQuery,
-        notice: _Notice,
-        memo: Optional[dict] = None,
-        counts: Optional[dict] = None,
+        self, standing: _StandingQuery, notice: _Notice, memo: dict, counts: dict
     ) -> None:
         """Move one standing query to ``notice``'s state, delivering its diff.
 
@@ -868,10 +831,10 @@ class SubscriptionRegistry:
         """
         if notice.epoch <= standing.last_epoch:
             return
-        kind, probability_dirt = self._classify(standing, notice)
+        kind, probability_dirt = self._classify(standing, notice, memo)
         if kind == "unaffected":
             standing.last_epoch = notice.epoch
-            self._count(counts, "unaffected")
+            counts["unaffected"] += 1
             return
         # With one subscriber (the common case) the update is built carrying
         # its id directly, skipping the per-subscriber copy below; ids start
@@ -879,18 +842,16 @@ class SubscriptionRegistry:
         subscribers = list(standing.subscribers.items())
         sole_id = subscribers[0][0] if len(subscribers) == 1 else 0
         if kind == "reweight":
-            update = self._reweight_update(
-                standing, notice, probability_dirt, sole_id, memo
-            )
-            self._count(counts, "reweight_only")
+            update = self._reweight_update(standing, notice, probability_dirt, sole_id, memo)
+            counts["reweight_only"] += 1
         else:
             update = self._structural_update(standing, notice, sole_id, memo)
-            self._count(counts, "structural")
+            counts["structural"] += 1
         standing.last_epoch = notice.epoch
         standing.generation = notice.generation
         standing.document_version = notice.document_version
         if update.is_empty_diff():
-            self._count(counts, "suppressed")
+            counts["suppressed"] += 1
             return
         for subscription_id, handle in subscribers:
             delivered = (
@@ -901,171 +862,128 @@ class SubscriptionRegistry:
             handle._record(delivered)
             self._deliver_one(handle, delivered, counts)
 
-    def _count(self, counts: Optional[dict], key: str) -> None:
-        """Bump one statistic, batched into ``counts`` when one is supplied."""
-        if counts is not None:
-            counts[key] += 1
-            return
-        with self._stats_lock:
-            setattr(self, f"_{key}", getattr(self, f"_{key}") + 1)
-
-    def _deliver_one(
-        self,
-        handle: Subscription,
-        update: SubscriptionUpdate,
-        counts: Optional[dict] = None,
-    ) -> None:
-        """Invoke one subscriber callback, counting (never raising) errors."""
-        self._count(counts, "notifications")
+    @staticmethod
+    def _deliver_one(handle: Subscription, update: SubscriptionUpdate, counts: dict) -> None:
+        """Invoke one subscriber callback, counting (never raising) errors into ``counts``."""
+        counts["notifications"] += 1
         try:
             handle._callback(update)
         except Exception:
-            self._count(counts, "callback_errors")
+            counts["callback_errors"] += 1
 
-    def _top_ids(
-        self,
-        standing: _StandingQuery,
-        probabilities: Sequence[float],
-        memo: Optional[dict],
-    ) -> list[int]:
-        """The ``k`` most probable relevant mapping ids, ordered like top-k selection.
+    @staticmethod
+    def _rescored(
+        mask: int, delivered: Sequence[float], probabilities: Sequence[float], memo: dict
+    ) -> tuple[tuple[int, float], ...]:
+        """``(id, new probability)`` for the members of ``mask`` whose value moved.
 
-        The relevant ids ascend, and a stable descending sort by probability
-        keeps ties in ascending id order: exactly ``(-probability, id)``.
-        The full order is memoized per relevant set for the notice, so
-        standing queries over the same relevant set sort once for every k.
+        Shared for the notice by the standing queries that compare the same
+        members against the same delivered column.
         """
-        table = standing.table
-        memo_key = ("order", table.relevant_mask)
-        order = memo.get(memo_key) if memo is not None else None
-        if order is None:
-            order = sorted(table.relevant_ids, key=probabilities.__getitem__, reverse=True)
-            if memo is not None:
-                memo[memo_key] = order
-        return order[: standing.k]
-
-    def _rescored_rows(
-        self,
-        table: _MatchTable,
-        probability_dirt: int,
-        probabilities: Sequence[float],
-        memo: Optional[dict],
-    ) -> list[PTQAnswer]:
-        """Rows of the dirty relevant mappings at their new probabilities.
-
-        Built once per table and dirt for the notice, so the standing
-        queries of one query share the row objects.
-        """
-        memo_key = ("rescore", id(table), probability_dirt)
-        rows = memo.get(memo_key) if memo is not None else None
-        if rows is None:
-            matches = table.matches
-            rows = [
-                PTQAnswer(
-                    mapping_id=mapping_id,
-                    probability=probabilities[mapping_id],
-                    matches=matches[mapping_id],
-                )
-                for mapping_id in iter_mapping_ids(probability_dirt & table.relevant_mask)
-            ]
-            if memo is not None:
-                memo[memo_key] = rows
-        return rows
+        memo_key = ("rescored", mask, id(delivered))
+        rescored = memo.get(memo_key)
+        if rescored is None:
+            rescored = memo[memo_key] = tuple(
+                (mapping_id, probabilities[mapping_id])
+                for mapping_id in iter_mapping_ids(mask)
+                if probabilities[mapping_id] != delivered[mapping_id]
+            )
+        return rescored
 
     def _reweight_update(
         self,
         standing: _StandingQuery,
         notice: _Notice,
         probability_dirt: int,
-        subscription_id: int = 0,
-        memo: Optional[dict] = None,
+        subscription_id: int,
+        memo: dict,
     ) -> SubscriptionUpdate:
-        """Rescore rows from the new probability column; no re-execution.
+        """Rescore from the new probability column; no re-execution.
 
         Structure at the query's required targets is provably clean, so
-        every row's match set is still exact and the relevant-mapping id set
-        is unchanged; only probabilities (and, under a top-k restriction,
-        the top-k membership) can move.  While the membership holds, only
-        mappings flagged in ``probability_dirt`` can have moved, so the
-        rescore walks exactly the dirty rows.  Top-k entrants — rows newly
-        selected into the top k — are built from the probability column and
-        the shared match table; nothing is evaluated.
+        every match set is still exact and the relevant-mapping set is
+        unchanged; only probabilities (and, under a top-k restriction, the
+        top-k membership) can move.  Every probability that moved since the
+        last delivery is flagged in ``probability_dirt``, so ``rescored``
+        compares exactly the dirty members with the delivered column.  Top-k
+        entrants are rows built from the new column and the cells; the new
+        top k is cut from the compiled ranking, once per relevant set and k
+        for the notice.
         """
-        mapping_set = notice.snapshot.mapping_set
-        compiled = mapping_set._compiled
-        probabilities: Sequence[float] = (
-            compiled.probabilities
-            if compiled is not None
-            else [mapping.probability for mapping in mapping_set]
-        )
-        old = standing.baseline
-        removed: tuple[int, ...] = ()
-        added: list[PTQAnswer] = []
-        rescored: list[tuple[int, float]] = []
-        new_ids: list[int] = []
+        compiled = notice.snapshot.mapping_set.compile()
+        probabilities = compiled.probabilities
+        delivered = standing.probabilities
+        members = standing.members
+        top, selected = (), members
         if standing.k is not None:
-            new_ids = self._top_ids(standing, probabilities, memo)
-        stable = standing.k is None or old.keys() == set(new_ids)
-        if stable:
-            for row in self._rescored_rows(standing.table, probability_dirt, probabilities, memo):
-                current = old.get(row.mapping_id)
-                if current is not None and current.probability != row.probability:
-                    old[row.mapping_id] = row
-                    rescored.append((row.mapping_id, row.probability))
-        else:
-            matches = standing.table.matches
-            removed = tuple(sorted(set(old).difference(new_ids)))
-            new_baseline: dict[int, PTQAnswer] = {}
-            for mapping_id in new_ids:
-                probability = probabilities[mapping_id]
-                row = old.get(mapping_id)
-                if row is None:
-                    row = PTQAnswer(
-                        mapping_id=mapping_id,
-                        probability=probability,
-                        matches=matches[mapping_id],
-                    )
-                    added.append(row)
-                elif probability != row.probability:
-                    row = PTQAnswer(
-                        mapping_id=mapping_id, probability=probability, matches=row.matches
-                    )
-                    rescored.append((mapping_id, probability))
-                new_baseline[mapping_id] = row
-            standing.baseline = new_baseline
+            relevant = standing.result._mask
+            memo_key = ("top", relevant, standing.k)
+            cut = memo.get(memo_key)
+            if cut is None:
+                ids = compiled.top_k(relevant, standing.k)
+                cut = memo[memo_key] = (ids, mapping_mask(ids))
+            top, selected = cut
+        rescored = self._rescored(
+            probability_dirt & members & selected, delivered, probabilities, memo
+        )
+        added: tuple[PTQAnswer, ...] = ()
+        removed: tuple[int, ...] = ()
+        if selected != members:
+            matches_of = standing.result._matches_of
+            added = tuple(
+                PTQAnswer(mapping_id, probabilities[mapping_id], matches_of(mapping_id))
+                for mapping_id in top
+                if not members >> mapping_id & 1
+            )
+            removed = tuple(iter_mapping_ids(members & ~selected))
+            standing.members = selected
+        standing.probabilities = probabilities
+        # Positional: this runs once per standing query and notice.
         return SubscriptionUpdate(
-            subscription_id=subscription_id,
-            query=standing.prepared.cache_key,
-            k=standing.k,
-            kind="reweight",
-            generation=notice.generation,
-            delta_epoch=notice.epoch,
-            added=tuple(rank_by_probability(added)),
-            removed=removed,
-            rescored=tuple(sorted(rescored)),
+            subscription_id, standing.prepared.cache_key, standing.k, "reweight",
+            notice.generation, notice.epoch, added, removed, rescored,
         )
 
     def _structural_update(
         self,
         standing: _StandingQuery,
         notice: _Notice,
-        subscription_id: int = 0,
-        memo: Optional[dict] = None,
+        subscription_id: int,
+        memo: dict,
     ) -> SubscriptionUpdate:
-        """Take rows from the shared full re-execution and diff against baseline."""
-        result, standing.table = self._evaluate(standing.prepared, notice.snapshot, memo)
-        rows = _top_rows(result, standing.k)
-        old = standing.baseline
-        removed = tuple(sorted(set(old) - set(rows)))
-        added: list[PTQAnswer] = []
-        rescored: list[tuple[int, float]] = []
-        for mapping_id, row in rows.items():
-            previous = old.get(mapping_id)
-            if previous is None or previous.matches != row.matches:
-                added.append(row)
-            elif previous.probability != row.probability:
-                rescored.append((mapping_id, row.probability))
-        standing.baseline = rows
+        """Take the members from the shared full re-execution and diff them.
+
+        The diff runs per pair of overlapping old and new cells: members
+        whose match set is unchanged can only be rescored, the others are
+        sent as full rows.
+        """
+        result = self._evaluate(standing.prepared, notice.snapshot, memo)
+        probabilities = result._probabilities
+        delivered = standing.probabilities
+        top, members = _top(result, standing.k)
+        kept = members & standing.members
+        changed = members & ~standing.members
+        unchanged = 0
+        for new_mask, new_set in result._cells:
+            for old_mask, old_set in standing.result._cells:
+                shared = new_mask & old_mask & kept
+                if not shared:
+                    continue
+                if new_set is old_set or new_set == old_set:
+                    unchanged |= shared
+                else:
+                    changed |= shared
+        rescored = self._rescored(unchanged, delivered, probabilities, memo)
+        matches_of = result._matches_of
+        added = tuple(
+            PTQAnswer(mapping_id, probabilities[mapping_id], matches_of(mapping_id))
+            for mapping_id in (top if changed else ())
+            if changed >> mapping_id & 1
+        )
+        removed = tuple(iter_mapping_ids(standing.members & ~members))
+        standing.result = result
+        standing.members = members
+        standing.probabilities = probabilities
         return SubscriptionUpdate(
             subscription_id=subscription_id,
             query=standing.prepared.cache_key,
@@ -1073,9 +991,9 @@ class SubscriptionRegistry:
             kind="structural",
             generation=notice.generation,
             delta_epoch=notice.epoch,
-            added=tuple(rank_by_probability(added)),
+            added=added,
             removed=removed,
-            rescored=tuple(sorted(rescored)),
+            rescored=rescored,
         )
 
     # ------------------------------------------------------------------ #

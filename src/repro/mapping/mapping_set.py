@@ -1,7 +1,7 @@
 """The :class:`MappingSet`: the paper's set ``M`` of possible mappings.
 
-Besides the object model, this module hosts the two primitive bitset helpers
-(:func:`mapping_mask` / :func:`iter_mapping_ids`) shared by the compiled
+Besides the object model, this module hosts the primitive bitset helpers
+(:func:`mapping_mask`, :func:`iter_mapping_ids`, :func:`ids_in_order`) shared by the compiled
 evaluation core (:mod:`repro.engine.compiled`), the block tree and the PTQ
 evaluators: a set of mapping ids is encoded as a Python int with bit ``i``
 set iff mapping ``i`` is a member, so set algebra over mappings becomes
@@ -13,8 +13,8 @@ built from a mask never has to be converted back.
 from __future__ import annotations
 
 import threading
-from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from itertools import compress, islice
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.exceptions import MappingError
 from repro.mapping.mapping import Mapping
@@ -24,7 +24,7 @@ from repro.matching.matching import SchemaMatching
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.compiled import CompiledMappingSet
 
-__all__ = ["MappingSet", "MappingSubset", "mapping_mask", "iter_mapping_ids"]
+__all__ = ["MappingSet", "MappingSubset", "mapping_mask", "iter_mapping_ids", "ids_in_order"]
 
 
 def mapping_mask(mapping_ids: Iterable[int]) -> int:
@@ -60,6 +60,18 @@ def _peel_ids(mask: int) -> Iterator[int]:
         low_bit = mask & -mask
         yield low_bit.bit_length() - 1
         mask ^= low_bit
+
+
+def ids_in_order(ordered: Sequence[int], mask: int, limit: Optional[int] = None) -> list[int]:
+    """The members of ``mask`` in the order they take in ``ordered``, at most ``limit``.
+
+    ``ordered`` must list every member of ``mask``.  The mask becomes one
+    0/1 byte per id and :func:`itertools.compress` selects with it, so the
+    walk runs in C and stops once ``limit`` members are found.
+    """
+    size = max(ordered, default=-1) + 1
+    flags = bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS).ljust(size, b"\x00")
+    return list(islice(compress(ordered, map(flags.__getitem__, ordered)), limit))
 
 
 class MappingSubset(list):

@@ -25,7 +25,6 @@ contents.
 
 from __future__ import annotations
 
-import weakref
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.core.blocktree import BlockTree
@@ -39,7 +38,7 @@ from repro.mapping.mapping_set import (
     mapping_mask,
 )
 from repro.query.resolve import Embedding, resolve_query
-from repro.query.results import CanonicalMatch, PTQAnswer, PTQResult
+from repro.query.results import CanonicalMatch, Cell, PTQAnswer, PTQResult
 from repro.query.twig import TwigNode, TwigQuery
 from repro.query.twigmatch import Match, match_twig, stack_join
 
@@ -130,77 +129,6 @@ def _canonicalize(matches: list[Match]) -> frozenset[CanonicalMatch]:
     )
 
 
-def _build_result(
-    query: TwigQuery,
-    document: XMLDocument,
-    per_mapping: dict[int, frozenset[CanonicalMatch]],
-    probabilities: Sequence[float],
-) -> PTQResult:
-    """One answer per evaluated mapping; ``probabilities`` is indexed by mapping id."""
-    answers = [
-        PTQAnswer(mapping_id=mapping_id, probability=probabilities[mapping_id], matches=matches)
-        for mapping_id, matches in per_mapping.items()
-    ]
-    return PTQResult(query, answers, document=document)
-
-
-#: The latest answer object per mapping id of each twig the compiled
-#: evaluator answered, so a re-evaluation after a delta reuses every answer
-#: whose mapping kept its probability and matches.  Answers are immutable
-#: values, so a reused object is indistinguishable from a fresh one.  Each
-#: table holds at most one answer per mapping id and dies with its twig.
-_LATEST_ANSWERS: "weakref.WeakKeyDictionary[TwigQuery, dict[int, PTQAnswer]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _build_reusing_result(
-    query: TwigQuery,
-    document: XMLDocument,
-    per_mapping: dict[int, frozenset[CanonicalMatch]],
-    probabilities: Sequence[float],
-) -> PTQResult:
-    """:func:`_build_result`, reusing the twig's previous answer objects where equal.
-
-    A cached result's answers survive in memory, so a fresh answer per
-    mapping and per evaluation is what made every result-cache miss grow
-    the collector's young generation by |relevant| objects.  An answer is
-    reused only when its probability is the *same float object* (the
-    delta patcher shares untouched mappings' values, and identity also
-    keeps ``-0.0`` and ``0.0`` apart) and its match set is equal.
-    """
-    latest = _LATEST_ANSWERS.get(query)
-    if latest is None:
-        latest = _LATEST_ANSWERS.setdefault(query, {})
-    # id(old match set) -> a new match set found equal to it this call.
-    equal: dict[int, frozenset[CanonicalMatch]] = {}
-    answers = []
-    for mapping_id, matches in per_mapping.items():
-        probability = probabilities[mapping_id]
-        answer = latest.get(mapping_id)
-        if answer is None or answer.probability is not probability or not (
-            answer.matches is matches
-            or equal.get(id(answer.matches)) is matches
-            or _remember_equal(answer.matches, matches, equal)
-        ):
-            answer = PTQAnswer(mapping_id=mapping_id, probability=probability, matches=matches)
-            latest[mapping_id] = answer
-        answers.append(answer)
-    return PTQResult(query, answers, document=document)
-
-
-def _remember_equal(
-    old: frozenset[CanonicalMatch],
-    new: frozenset[CanonicalMatch],
-    equal: dict[int, frozenset[CanonicalMatch]],
-) -> bool:
-    """Compare two match sets once, remembering a match for the old set's other rows."""
-    if old != new:
-        return False
-    equal[id(old)] = new
-    return True
-
-
 # --------------------------------------------------------------------------- #
 # Algorithm 3: query_basic
 # --------------------------------------------------------------------------- #
@@ -242,8 +170,12 @@ def _evaluate_resolved(
         for mapping_id, matches in results.items():
             canonical = _canonicalize(matches)
             per_mapping[mapping_id] = per_mapping.get(mapping_id, frozenset()) | canonical
-    probabilities = [mapping.probability for mapping in mapping_set]
-    return _build_result(query, document, per_mapping, probabilities)
+    answers = [
+        PTQAnswer(mapping_id=mapping_id, probability=mapping_set[mapping_id].probability,
+                  matches=matches)
+        for mapping_id, matches in per_mapping.items()
+    ]
+    return PTQResult(query, answers, document=document)
 
 
 def evaluate_resolved_basic(
@@ -497,23 +429,24 @@ def match_rewrites(
     document: XMLDocument,
     query: TwigQuery,
     rewrites: Iterable[Rewrite],
-) -> tuple[dict[int, frozenset[CanonicalMatch]], dict[tuple[int, ...], frozenset[CanonicalMatch]]]:
-    """Match each distinct rewrite once; fan the canonical matches out by bitmask.
+) -> tuple[list[Cell], dict[tuple[int, ...], frozenset[CanonicalMatch]]]:
+    """Match each distinct rewrite once; group the mappings into cells by bitmask.
 
-    Returns ``(per_mapping, by_signature)``: every member mapping's canonical
-    match set (unioned when several rewrites reach one mapping) and the
-    match set of each distinct source signature.
+    Returns ``(cells, by_signature)``: disjoint ``(mask, match set)`` cells
+    whose union is every mapping some rewrite reached, each mapping's set
+    being the union of its rewrites' match sets, and the match set of each
+    distinct source signature.
 
-    The members are kept as disjoint cells of mappings that the same
-    rewrites reached so far.  A rewrite whose group overlaps a cell splits
-    it, and the overlap takes the cell's set united with the rewrite's, so
-    the unions run once per cell rather than once per mapping, in the same
-    rewrite order.  Every mapping of a cell shares its one match set object.
+    The cells hold the mappings that the same rewrites reached so far.  A
+    rewrite whose group overlaps a cell splits it, and the overlap takes the
+    cell's set united with the rewrite's, so the unions run once per cell
+    rather than once per mapping, in the same rewrite order.  The result is
+    built on the cells as they are (:meth:`PTQResult.from_cells`).
     """
     node_ids = _node_ids(query)
     root = query.root
     by_signature: dict[tuple[int, ...], frozenset[CanonicalMatch]] = {}
-    cells: list[tuple[int, frozenset[CanonicalMatch]]] = []
+    cells: list[Cell] = []
     covered = 0
     for group_mask, signature in rewrites:
         canonical = by_signature.get(signature)
@@ -537,10 +470,7 @@ def match_rewrites(
         if fresh:
             cells.append((fresh, canonical))
         covered |= group_mask
-    per_mapping: dict[int, frozenset[CanonicalMatch]] = {}
-    for cell_mask, cell_set in cells:
-        per_mapping.update(dict.fromkeys(iter_mapping_ids(cell_mask), cell_set))
-    return per_mapping, by_signature
+    return cells, by_signature
 
 
 def _node_ids(query: TwigQuery) -> tuple[int, ...]:
@@ -560,9 +490,10 @@ def evaluate_resolved_compiled(
     Runs on the mapping set's compiled bitset view
     (:meth:`~repro.mapping.mapping_set.MappingSet.compile`): the selected
     mappings are grouped by rewrite (:func:`derive_rewrites`), each distinct
-    rewrite is matched against the document exactly once, and the canonical
-    matches are fanned back out to the group's mappings by bitmask
-    (:func:`match_rewrites`).  This generalises Algorithm 4's c-block
+    rewrite is matched against the document exactly once, and the mappings
+    sharing a match set form one cell of the result (:func:`match_rewrites`),
+    which holds the compiled probability column and its ranking instead of
+    one answer row per mapping.  This generalises Algorithm 4's c-block
     sharing — it needs no anchored blocks and never misses sharing due to
     construction budgets — and produces results identical to
     :func:`evaluate_resolved_basic`.
@@ -572,8 +503,10 @@ def evaluate_resolved_compiled(
     """
     compiled = mapping_set.compile()
     rewrites = derive_rewrites(query, compiled, embeddings, compiled.mask_for(mappings))
-    per_mapping, _ = match_rewrites(document, query, rewrites)
-    return _build_reusing_result(query, document, per_mapping, compiled.probabilities)
+    cells, _ = match_rewrites(document, query, rewrites)
+    return PTQResult.from_cells(
+        query, cells, compiled.probabilities, compiled.ranked_ids(), document=document
+    )
 
 
 def evaluate_ptq(

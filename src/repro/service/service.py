@@ -78,11 +78,15 @@ def percentile_summary(values: Sequence[float], ndigits: int = 3) -> dict[str, f
 
 
 def default_service_workers() -> int:
-    """Default :class:`QueryService` pool size: a fixed 8.
+    """Default :class:`QueryService` pool size: one thread.
 
-    The bitset loops hold the GIL, so the pool keeps a small fixed sizing.
+    Evaluation is pure Python and holds the GIL, so more threads add
+    hand-offs and thread start-ups, not throughput.  A warm 90-op D1–D10
+    replay took 1.15 ms on one thread against 2.4–2.9 ms on 2, 4 or 8
+    (2-vCPU host, paired rounds), and an uncached one 3.4 ms against
+    5.0–5.4 ms.
     """
-    return 8
+    return 1
 
 
 class QueryService:

@@ -232,6 +232,7 @@ def attach_compiled(payload: dict, mapping_set: MappingSet):
     compiled.num_mappings = len(mapping_set)
     compiled.all_mask = (1 << len(mapping_set)) - 1
     compiled.probabilities = tuple(mapping.probability for mapping in mapping_set)
+    compiled._ranked = None
     compiled._pair_masks = {
         (s, t): _mask_int(mask) for s, t, mask in payload["pairs"]
     }

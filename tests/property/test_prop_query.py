@@ -99,7 +99,13 @@ class TestMatchRewritesFanOut:
             ]
 
         with mock.patch.object(ptq, "match_twig", fake_match_twig):
-            per_mapping, by_signature = match_rewrites(None, query, rewrites)
+            cells, by_signature = match_rewrites(None, query, rewrites)
+        # The cells are disjoint; expanded, they give each mapping's set.
+        per_mapping: dict = {}
+        for cell_mask, cell_set in cells:
+            for mapping_id in iter_mapping_ids(cell_mask):
+                assert mapping_id not in per_mapping
+                per_mapping[mapping_id] = cell_set
 
         canonical = {
             (signature,): frozenset(((root_id, n),) for n in node_ids[signature])

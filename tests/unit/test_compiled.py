@@ -214,9 +214,9 @@ class TestCompiledPlan:
         assert len(result) == 2
         assert figure_mappings.is_compiled  # ran on the compiled artifacts
 
-    def test_reevaluation_reuses_unchanged_answers(self, figure_mappings, figure_document):
-        # After a reweight, only the reweighted mappings get new answer
-        # objects; the others are the previous evaluation's, unchanged.
+    def test_reevaluation_after_reweight_builds_no_rows(self, figure_mappings, figure_document):
+        # A re-evaluation after a reweight holds cells over the new
+        # probability column and builds no answer row until one is read.
         from repro.engine import MappingDelta
 
         session = Dataspace.from_mapping_set(figure_mappings, document=figure_document)
@@ -224,12 +224,13 @@ class TestCompiledPlan:
         before = {a.mapping_id: a for a in session.execute(query, use_cache=False)}
         p = [mapping.probability for mapping in session.mapping_set]
         session.apply_delta(MappingDelta.build(reweight={0: p[2], 2: p[0]}))
-        after = {a.mapping_id: a for a in session.execute(query, use_cache=False)}
+        result = session.execute(query, use_cache=False)
+        assert result._rows is None
+        after = {a.mapping_id: a for a in result}
         assert after.keys() == before.keys() == {0, 1, 2, 3, 4}
         for mapping_id in (1, 3, 4):
-            assert after[mapping_id] is before[mapping_id]
+            assert after[mapping_id] == before[mapping_id]
         for mapping_id, probability in ((0, p[2]), (2, p[0])):
-            assert after[mapping_id] is not before[mapping_id]
             assert after[mapping_id].probability.hex() == probability.hex()
             assert after[mapping_id].matches == before[mapping_id].matches
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Dataspace
-from repro.engine.planner import canonical_text, normalize_query_text
+from repro.query.normalize import canonical_text, normalize_query_text
 from repro.query.parser import parse_twig
 
 ICN_QUERY = "//INVOICE_PARTY//CONTACT_NAME"

@@ -381,10 +381,10 @@ class TestQueryBatch:
 # --------------------------------------------------------------------------- #
 class TestQueryService:
     def test_default_pool_keeps_gil_bound_sizing(self, figure_dataspace):
-        # The bitset loops hold the GIL: the default pool is a fixed 8.
-        assert default_service_workers() == 8
+        # Evaluation holds the GIL: the default pool is one thread.
+        assert default_service_workers() == 1
         with QueryService(figure_dataspace) as service:
-            assert service.max_workers == 8
+            assert service.max_workers == 1
 
     def test_submit_returns_future_with_result(self, figure_dataspace):
         with QueryService(figure_dataspace, max_workers=2) as service:

@@ -100,13 +100,15 @@ def test_reweight_entrants_are_built_without_evaluation(
     )
 
 
-def test_standing_queries_of_one_query_share_a_match_table(session):
+def test_standing_queries_of_one_query_share_a_result(session):
     session.subscribe(QUERY, k=2, callback=lambda update: None)
     session.subscribe(QUERY, k=3, callback=lambda update: None)
     session.subscribe(QUERY, callback=lambda update: None)
-    tables = {id(standing.table) for standing in session.subscriptions._table.values()}
-    assert len(tables) == 1
+    results = {id(standing.result) for standing in session.subscriptions._table.values()}
+    assert len(results) == 1
     (standing, *_) = session.subscriptions._table.values()
-    # The table holds one entry per relevant mapping, no more.
+    # The result's cells cover exactly the relevant mappings, and holding it
+    # built no answer row.
     relevant = session.prepare(QUERY).relevant_mappings()
-    assert set(standing.table.matches) == {mapping.mapping_id for mapping in relevant}
+    assert standing.result._mask == relevant.mask
+    assert standing.result._rows is None
