@@ -71,7 +71,8 @@ from _workloads import paired_rounds, ratio_spread
 #: Remote p99 must stay within this factor of the warm in-process median.
 MAX_P99_FACTOR = 5.0
 #: Dataset, mapping-set size and plan: |M|=1000 under the uncompiled basic
-#: plan costs ~5 ms/query, so evaluation dominates transport.
+#: plan.  The five queries are uneven: uncached, two take ~0.01 ms, two ~6 ms
+#: and one ~16 ms (median of 7 runs each on a 2-vCPU VM).
 DATASET = "D1"
 SLO_H = 1000
 SLO_PLAN = "basic"

@@ -1,4 +1,4 @@
-"""Service-layer throughput: concurrent warm-cache serving vs sequential execution.
+"""Service-layer throughput: warm-cache serving vs sequential uncached execution.
 
 Replays a mixed D1–D10 workload (three deterministic queries per dataset,
 interleaved round-robin) two ways:
@@ -42,7 +42,7 @@ from repro.workloads.datasets import DATASET_IDS
 
 from _workloads import paired_rounds, ratio_spread
 
-#: Required speedup of the warm concurrent service over sequential execution.
+#: Required speedup of the warm-cache service over sequential uncached execution.
 MIN_SPEEDUP = 2.0
 #: Mapping-set size: small enough that all ten datasets stay cheap to build.
 SERVICE_H = 25
@@ -68,7 +68,8 @@ def test_service_throughput(benchmark, experiment_report):
         dataset_id: Dataspace.from_dataset(dataset_id, h=SERVICE_H)
         for dataset_id in datasets
     }
-    # No explicit max_workers: the planner's default sizes the pool.
+    # No explicit max_workers: default_service_workers() sizes the pool
+    # (one thread), and the replay below runs at that concurrency.
     cached = {
         dataset_id: QueryService(session)
         for dataset_id, session in sessions.items()

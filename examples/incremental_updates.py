@@ -12,8 +12,8 @@ the bitsets, drop every cached result.  This example shows the delta path:
 2. **Surviving cache entries** — results whose relevant mappings and target
    elements the delta provably did not touch are *retained* across the epoch
    (one bitwise AND decides); ``explain()`` shows ``cache: retained``.
-3. **Concurrent writers and readers** — deltas commit under the session's
-   write lock while a pool of reader threads keeps querying; snapshots make
+3. **Concurrent writers and readers** — each delta commit publishes one new
+   session state while a pool of reader threads keeps querying; snapshots make
    every answer internally consistent, and the service's single-flight keys
    include the epoch so post-delta requests never join pre-delta flights.
 

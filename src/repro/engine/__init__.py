@@ -32,7 +32,6 @@ from repro.engine.delta import (
     MappingDelta,
     apply_mapping_delta,
 )
-from repro.engine.locking import ReadWriteLock
 from repro.engine.plans import (
     BasicPlan,
     BlockTreePlan,
@@ -73,7 +72,6 @@ __all__ = [
     "CacheKey",
     "CacheStats",
     "ResultCache",
-    "ReadWriteLock",
     "PreparedQuery",
     "QueryBuilder",
     "QueryPlan",

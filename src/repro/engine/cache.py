@@ -203,8 +203,8 @@ class ResultCache:
     ) -> None:
         """Record the dirt of one applied mapping delta.
 
-        Called by the owning session (under its write lock) when
-        ``apply_delta`` commits epoch ``delta_epoch``.  ``probability_mask``
+        Called by the owning session when ``apply_delta`` commits epoch
+        ``delta_epoch``, before it publishes that epoch.  ``probability_mask``
         flags the mappings whose probability value changed and
         ``target_mask`` the target elements whose correspondences changed —
         together they bound every way the delta can influence a query result

@@ -124,27 +124,31 @@ class CompiledMappingSet:
         previous: "CompiledMappingSet",
         mapping_set: MappingSet,
         changed_pairs: dict[int, tuple[frozenset, frozenset]],
+        probability_ids: Iterable[int],
     ) -> "CompiledMappingSet":
         """Derive a compiled view incrementally from a predecessor artifact.
 
         ``changed_pairs`` maps each structurally dirty mapping id to its
-        ``(old_correspondences, new_correspondences)`` frozensets.  Only the
-        posting lists of edited correspondences, the coverage masks and
-        source partitions of their target elements, and the probability
-        column are rebuilt; every other bitmask column is carried over from
-        ``previous`` untouched.  The result is indistinguishable from a full
-        :meth:`MappingSet.compile` of the same set (the differential suite
-        pins dict-level equality), at a cost proportional to the edit instead
-        of to ``h x |pairs|``.
+        ``(old_correspondences, new_correspondences)`` frozensets, and
+        ``probability_ids`` lists the mappings whose probability changed.
+        Only the posting lists of edited correspondences, the coverage masks
+        and source partitions of their target elements, and the probability
+        column entries of ``probability_ids`` are rebuilt; every other
+        column is carried over from ``previous`` untouched.  The result is
+        indistinguishable from a full :meth:`MappingSet.compile` of the same
+        set (the differential suite pins dict-level equality), at a cost
+        proportional to the edit instead of to ``h x |pairs|``.
 
-        >>> # compiled = CompiledMappingSet.patched(old, new_set, {3: (old_pairs, new_pairs)})
+        >>> # compiled = CompiledMappingSet.patched(old, new_set, {3: (old_pairs, new_pairs)}, [3])
         """
         self = object.__new__(cls)
         self.mapping_set = mapping_set
         self.num_mappings = previous.num_mappings
         self.all_mask = previous.all_mask
-        # The probability column is the one full column a delta rebuilds.
-        self.probabilities = tuple(mapping.probability for mapping in mapping_set)
+        probabilities = list(previous.probabilities)
+        for mapping_id in probability_ids:
+            probabilities[mapping_id] = mapping_set[mapping_id].probability
+        self.probabilities = tuple(probabilities)
         self._ranked = None
         pair_masks = dict(previous._pair_masks)
         covered_masks = dict(previous._covered_masks)

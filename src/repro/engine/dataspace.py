@@ -33,14 +33,16 @@ compiled artifact with it.
 
 Concurrency
 -----------
-A session is safe to share between threads.  All session state sits behind a
-writer-preferring :class:`~repro.engine.locking.ReadWriteLock`: any number of
-reader threads snapshot and query concurrently, while ``configure()`` /
-``invalidate()`` / ``set_document()`` take the write side.  Query execution
-never evaluates under the lock — it grabs an immutable
-:class:`EngineSnapshot` (generation + artifacts, captured atomically) and
-works off that, so a mid-flight reconfiguration can never produce a torn
-read: every result is computed entirely against one generation's artifacts.
+A session is safe to share between threads.  Its mapping-set state —
+generation, document version, delta epoch, tau, and the built matching,
+mapping set, document and block tree — is one immutable
+:class:`EngineSnapshot` held in one attribute.  Readers take no lock: each
+reads that attribute once and works off the object it got, so a result is
+computed entirely against one state and a mid-flight write can never tear
+it.  Writers (``configure()``, ``invalidate()``, ``set_document()``, delta
+commits and the lazy artifact builds) serialise on one plain mutex, build
+the next state and publish it with one reference assignment — each write
+yields a new root, as in a copy-on-write tree.
 
 Two bounded LRU caches ride on the session (see
 :class:`~repro.engine.cache.ResultCache`):
@@ -67,7 +69,7 @@ import threading
 import time
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Union
 
 from repro.core.blocktree import BlockTree, BlockTreeConfig, build_block_tree
@@ -75,7 +77,6 @@ from repro.document.document import XMLDocument
 from repro.document.generator import generate_document
 from repro.engine.cache import CacheKey, ResultCache
 from repro.engine.delta import DeltaReport, MappingDelta
-from repro.engine.locking import ReadWriteLock
 from repro.engine.plans import plan_for
 from repro.engine.prepared import PlanSpec, PreparedQuery, QueryBuilder
 from repro.engine.streaming import (
@@ -100,7 +101,6 @@ from repro.matching.matching import SchemaMatching
 from repro.query.normalize import canonical_text
 from repro.query.parser import parse_twig
 from repro.query.ptq import filter_mappings
-from repro.query.resolve import Embedding
 from repro.query.results import PTQAnswer, PTQResult
 from repro.query.twig import TwigQuery
 from repro.schema.schema import Schema
@@ -140,22 +140,45 @@ class _FilterKey(NamedTuple):
 
 @dataclass(frozen=True)
 class EngineSnapshot:
-    """An immutable, consistent view of one session generation.
+    """One immutable state of a session, published whole.
 
-    Captured atomically under the session lock; query execution works
-    entirely off a snapshot, so concurrent reconfiguration cannot interleave
-    with an in-flight evaluation.  ``block_tree`` is ``None`` when the
-    snapshot was taken with ``need_tree=False`` and the tree was not already
-    built.
+    The session holds its current state in one attribute and replaces it
+    with one reference assignment per write, so a reader that holds a
+    snapshot sees one consistent state however the session moves on.  An
+    artifact is ``None`` until built; :meth:`Dataspace.snapshot` returns a
+    state whose mapping set and document are built (and its block tree,
+    unless ``need_tree=False``).  ``provenance`` is copied on every change,
+    never mutated once published.
     """
 
     generation: int
     document_version: int
     delta_epoch: int
     tau: float
-    mapping_set: MappingSet
-    document: XMLDocument
-    block_tree: Optional[BlockTree]
+    mapping_set: Optional[MappingSet] = None
+    document: Optional[XMLDocument] = None
+    block_tree: Optional[BlockTree] = None
+    matching: Optional[SchemaMatching] = None
+    provenance: dict = field(default_factory=dict)
+
+    def ready(self, need_tree: bool) -> bool:
+        """Whether the artifacts a query evaluation needs are built."""
+        return (
+            self.mapping_set is not None
+            and self.document is not None
+            and (self.block_tree is not None or not need_tree)
+        )
+
+
+def _noting(
+    state: EngineSnapshot, artifact: str, started: float, **changes
+) -> EngineSnapshot:
+    """``state`` with ``changes``, recording ``artifact`` as built since ``started``."""
+    provenance = {
+        **state.provenance,
+        artifact: {"source": "built", "ms": round((time.perf_counter() - started) * 1000.0, 3)},
+    }
+    return replace(state, provenance=provenance, **changes)
 
 
 class Dataspace:
@@ -222,23 +245,21 @@ class Dataspace:
         self._matcher_config = matcher_config
         # Validate the block-tree parameters eagerly, not on first build.
         BlockTreeConfig(tau=tau, max_blocks=max_blocks, max_failures=max_failures)
-        self._tau = tau
         self._max_blocks = max_blocks
         self._max_failures = max_failures
         self._seed = seed
         self._dataset_id: Optional[str] = None
         if document is not None:
             self._check_document(document)
-        self._document = document
         self._document_nodes = document_nodes
-        self._matching: Optional[SchemaMatching] = None
-        self._mapping_set: Optional[MappingSet] = None
-        self._block_tree: Optional[BlockTree] = None
         self._pinned_matching = False
         self._pinned_mapping_set = False
-        self._generation = 0
-        self._document_version = 0
-        self._delta_epoch = 0
+        # The published state (see the module docstring): read without a
+        # lock, replaced whole under _write_lock.
+        self._state = EngineSnapshot(
+            generation=0, document_version=0, delta_epoch=0, tau=tau, document=document
+        )
+        self._write_lock = threading.Lock()
         self._prepared: ResultCache = ResultCache(_PREPARED_CACHE_CAPACITY)
         # Query text as given -> canonical key, so a repeated text skips the
         # parse and normalization that dominate a result-cache hit.
@@ -252,7 +273,6 @@ class Dataspace:
         )
         self._twig_key_counter = itertools.count()
         self._twig_key_lock = threading.Lock()
-        self._lock = ReadWriteLock()
         self._result_cache = ResultCache(cache_size)
         # cache_size=0 disables *all* caching, including filter sharing.
         # Otherwise the filter cache holds one signature per prepared query
@@ -260,12 +280,10 @@ class Dataspace:
         self._filter_cache = ResultCache(0 if cache_size == 0 else _PREPARED_CACHE_CAPACITY)
         self._cache_size = cache_size
         # Persistence state: the attached artifact store (None until a store
-        # is attached via from_dataset(store=...) / from_store / persist),
-        # the ref the session persists under, and per-artifact provenance
-        # ("built" with build time vs "loaded" with deserialization time).
+        # is attached via from_dataset(store=...) / from_store / persist) and
+        # the ref the session persists under.
         self._store: Optional[ArtifactStore] = None
         self._store_ref: Optional[str] = None
-        self._provenance: dict[str, dict] = {}
         # Delta write-through failures (see apply_delta): persistence stays
         # best-effort, but every failure is counted and the first one warns.
         self._persist_failures = 0
@@ -342,7 +360,7 @@ class Dataspace:
                 cache_size=cache_size,
             )
             session._dataset_id = key
-            session._matching = matching
+            session._publish(matching=matching)
         else:
             started = time.perf_counter()
             dataset = load_dataset(dataset_id, seed=seed)
@@ -361,8 +379,10 @@ class Dataspace:
                 cache_size=cache_size,
             )
             session._dataset_id = dataset.dataset_id
-            session._matching = dataset.matching
-            session._provenance["matching"] = {"source": "built", "ms": round(elapsed, 3)}
+            session._publish(
+                matching=dataset.matching,
+                provenance={"matching": {"source": "built", "ms": round(elapsed, 3)}},
+            )
         if store is not None:
             session._store = ArtifactStore.wrap(store)
             session._store_ref = cls._dataset_ref(key, h=h, method=method, seed=seed)
@@ -478,20 +498,28 @@ class Dataspace:
     def _adopt_bundle(self, store: ArtifactStore, bundle: SessionBundle) -> None:
         """Install a loaded :class:`~repro.store.SessionBundle` into this session."""
         signature = bundle.signature
-        self._matching = bundle.matching
-        self._mapping_set = bundle.mapping_set
-        self._generation = int(signature.get("generation", 0))
-        self._document_version = int(signature.get("document_version", 0))
-        self._delta_epoch = int(signature.get("delta_epoch", 0))
-        self._provenance = {
-            name: {"source": "loaded", "ms": round(ms, 3)}
-            for name, ms in bundle.load_ms.items()
-        }
+        state = self._publish(
+            matching=bundle.matching,
+            mapping_set=bundle.mapping_set,
+            generation=int(signature.get("generation", 0)),
+            document_version=int(signature.get("document_version", 0)),
+            delta_epoch=int(signature.get("delta_epoch", 0)),
+            provenance={
+                name: {"source": "loaded", "ms": round(ms, 3)}
+                for name, ms in bundle.load_ms.items()
+            },
+        )
         self._store = store
         self._store_ref = bundle.ref
-        self._restore_results(bundle.results)
+        self._restore_results(state, bundle.results)
 
-    def _restore_results(self, rows: list[dict]) -> None:
+    def _publish(self, **changes) -> EngineSnapshot:
+        """Publish the current state with ``changes``; returns the new state."""
+        with self._write_lock:
+            state = self._state = replace(self._state, **changes)
+        return state
+
+    def _restore_results(self, state: EngineSnapshot, rows: list[dict]) -> None:
         """Repopulate the result cache from persisted entries (best effort)."""
         for row in rows:
             try:
@@ -512,12 +540,12 @@ class Dataspace:
                     plan=key_fields["plan"],
                     k=key_fields["k"],
                     tau=key_fields["tau"],
-                    generation=self._generation,
-                    document_version=self._document_version,
-                    delta_epoch=self._delta_epoch,
+                    generation=state.generation,
+                    document_version=state.document_version,
+                    delta_epoch=state.delta_epoch,
                 )
                 self._result_cache.put(
-                    key, PTQResult(twig, answers, document=self._document)
+                    key, PTQResult(twig, answers, document=state.document)
                 )
             except Exception:
                 # One malformed entry never poisons the reopen: the result
@@ -560,7 +588,7 @@ class Dataspace:
             name=name or matching.name,
             cache_size=cache_size,
         )
-        session._matching = matching
+        session._publish(matching=matching)
         session._pinned_matching = True
         return session
 
@@ -593,7 +621,7 @@ class Dataspace:
             name=name,
             cache_size=cache_size,
         )
-        session._mapping_set = mapping_set
+        session._publish(mapping_set=mapping_set)
         session._pinned_mapping_set = True
         return session
 
@@ -613,7 +641,7 @@ class Dataspace:
     @property
     def tau(self) -> float:
         """Block-tree confidence threshold τ."""
-        return self._tau
+        return self._state.tau
 
     @property
     def matcher_config(self) -> Optional[MatcherConfig]:
@@ -628,14 +656,12 @@ class Dataspace:
     @property
     def generation(self) -> int:
         """Mapping-set generation; bumped whenever the mapping set is invalidated."""
-        with self._lock.read_locked():
-            return self._generation
+        return self._state.generation
 
     @property
     def document_version(self) -> int:
         """Source-document version; bumped by :meth:`set_document`."""
-        with self._lock.read_locked():
-            return self._document_version
+        return self._state.document_version
 
     @property
     def delta_epoch(self) -> int:
@@ -645,8 +671,7 @@ class Dataspace:
         generation bumps), so a ``(generation, delta_epoch)`` pair uniquely
         identifies one mapping-set state of the session.
         """
-        with self._lock.read_locked():
-            return self._delta_epoch
+        return self._state.delta_epoch
 
     def configure(
         self,
@@ -662,8 +687,9 @@ class Dataspace:
 
         Returns ``self`` so calls chain fluently.  See the module docstring
         for the invalidation table.  Safe to call while other threads are
-        querying: the whole reconfiguration happens under the write lock, so
-        readers observe either the old or the new generation, never a mix.
+        querying: the whole reconfiguration is validated first and published
+        as one new state, so readers observe either the old or the new
+        generation, never a mix, and a rejected call changes nothing.
 
         Raises
         ------
@@ -671,47 +697,54 @@ class Dataspace:
             When changing a parameter that a pinned artifact depends on
             (e.g. ``h`` on a session built with :meth:`from_mapping_set`).
         """
-        with self._lock.write_locked():
-            if matcher_config is not _UNSET and matcher_config != self._matcher_config:
-                if self._pinned_matching:
-                    raise DataspaceError(
-                        "cannot change matcher_config: this session was built from a "
-                        "pre-computed matching or mapping set"
-                    )
-                self._matcher_config = matcher_config
-                self._invalidate_matching()
-            if h is not None and h != self._h:
+        with self._write_lock:
+            state = self._state
+            new_matcher = matcher_config is not _UNSET and matcher_config != self._matcher_config
+            if new_matcher and self._pinned_matching:
+                raise DataspaceError(
+                    "cannot change matcher_config: this session was built from a "
+                    "pre-computed matching or mapping set"
+                )
+            new_h = h is not None and h != self._h
+            if new_h:
                 if h < 1:
                     raise DataspaceError(f"h must be at least 1, got {h}")
                 self._require_unpinned_mapping_set("h")
-                self._h = h
-                self._invalidate_mappings()
-            if method is not None:
-                normalized = GenerationMethod(method).value
-                if normalized != self._method:
-                    self._require_unpinned_mapping_set("method")
-                    self._method = normalized
-                    self._invalidate_mappings()
-            tree_params_changed = False
-            new_tau = self._tau if tau is None else tau
+            normalized = self._method if method is None else GenerationMethod(method).value
+            new_method = normalized != self._method
+            if new_method:
+                self._require_unpinned_mapping_set("method")
+            new_tau = state.tau if tau is None else tau
             new_max_blocks = self._max_blocks if max_blocks is None else max_blocks
             new_max_failures = self._max_failures if max_failures is None else max_failures
-            if (new_tau, new_max_blocks, new_max_failures) != (
-                self._tau,
+            new_tree = (new_tau, new_max_blocks, new_max_failures) != (
+                state.tau,
                 self._max_blocks,
                 self._max_failures,
-            ):
+            )
+            if new_tree:
                 BlockTreeConfig(
                     tau=new_tau, max_blocks=new_max_blocks, max_failures=new_max_failures
                 )
-                self._tau, self._max_blocks, self._max_failures = (
-                    new_tau,
-                    new_max_blocks,
-                    new_max_failures,
+            # Everything is validated: the write below cannot fail halfway.
+            if new_matcher:
+                self._matcher_config = matcher_config
+                state = replace(state, matching=None)
+            if new_h:
+                self._h = h
+            self._method = normalized
+            self._max_blocks, self._max_failures = new_max_blocks, new_max_failures
+            bumps = new_matcher + new_h + new_method
+            if bumps:
+                state = replace(
+                    state,
+                    mapping_set=None,
+                    block_tree=None,
+                    generation=state.generation + bumps,
                 )
-                tree_params_changed = True
-            if tree_params_changed:
-                self._block_tree = None
+            if new_tree:
+                state = replace(state, tau=new_tau, block_tree=None)
+            self._state = state
         return self
 
     def _require_unpinned_mapping_set(self, parameter: str) -> None:
@@ -721,15 +754,6 @@ class Dataspace:
                 "pre-computed mapping set"
             )
 
-    def _invalidate_matching(self) -> None:
-        self._matching = None
-        self._invalidate_mappings()
-
-    def _invalidate_mappings(self) -> None:
-        self._mapping_set = None
-        self._block_tree = None
-        self._generation += 1
-
     def invalidate(self) -> "Dataspace":
         """Drop every rebuildable cached artifact and bump the generation.
 
@@ -737,13 +761,15 @@ class Dataspace:
         are kept; prepared queries survive but refresh their filter caches,
         and cached results keyed on the old generation become unreachable.
         """
-        with self._lock.write_locked():
-            if not self._pinned_matching:
-                self._matching = None
-            if not self._pinned_mapping_set:
-                self._mapping_set = None
-            self._block_tree = None
-            self._generation += 1
+        with self._write_lock:
+            state = self._state
+            self._state = replace(
+                state,
+                matching=state.matching if self._pinned_matching else None,
+                mapping_set=state.mapping_set if self._pinned_mapping_set else None,
+                block_tree=None,
+                generation=state.generation + 1,
+            )
         return self
 
     def apply_delta(self, delta: MappingDelta) -> DeltaReport:
@@ -754,15 +780,15 @@ class Dataspace:
         replacements — as one atomic write: the patched
         :class:`~repro.mapping.mapping_set.MappingSet` (structure-sharing,
         with an incrementally recompiled
-        :class:`~repro.engine.compiled.CompiledMappingSet`) is swapped in
-        under the write lock and the session's ``delta_epoch`` is bumped.
+        :class:`~repro.engine.compiled.CompiledMappingSet`) is published in
+        one new session state with the ``delta_epoch`` bumped.
         The *generation* is **not** bumped: result-cache entries whose
         relevant mappings and required target elements do not intersect the
         delta's dirty masks keep serving across the epoch boundary (see
         :meth:`~repro.engine.cache.ResultCache.lookup`).
 
         In-flight queries are unaffected — they evaluate against the
-        immutable snapshot they captured before the swap.  The block tree is
+        immutable state they read before the publish.  The block tree is
         dropped and rebuilt lazily (only the explicit ``blocktree`` plan
         needs it).
 
@@ -817,30 +843,23 @@ class Dataspace:
         :func:`repro.engine.streaming.apply_delta_batch`).
         """
         started = time.perf_counter()
-        with self._lock.write_locked():
-            mapping_set = self._build_mapping_set()
-            patched, effect = apply_delta_batch(mapping_set, batch)
-            self._mapping_set = patched
-            self._block_tree = None
-            self._delta_epoch += 1
-            epoch = self._delta_epoch
-            generation = self._generation
-            self._result_cache.record_delta(
-                epoch, effect.probability_mask, effect.dirty_target_mask
+        with self._write_lock:
+            base = self._state = self._with_mapping_set(self._state)
+            patched, effect = apply_delta_batch(base.mapping_set, batch)
+            state = replace(
+                base, mapping_set=patched, block_tree=None, delta_epoch=base.delta_epoch + 1
             )
-            self._filter_cache.record_delta(
-                epoch, effect.probability_mask, effect.dirty_target_mask
-            )
-            self._subscriptions.on_commit(
-                epoch,
-                generation,
-                self._document_version,
-                effect,
-                self._snapshot_if_built(False),
-            )
+            # The epoch's dirt is logged before the epoch is published, so a
+            # reader at the new epoch always finds its log entry.
+            for cache in (self._result_cache, self._filter_cache):
+                cache.record_delta(
+                    state.delta_epoch, effect.probability_mask, effect.dirty_target_mask
+                )
+            self._subscriptions.on_commit(effect, state)
+            self._state = state
         persist_failed = False
         persist_error: Optional[str] = None
-        if self._store is not None and self._document is not None:
+        if self._store is not None and state.document is not None:
             # Write the patched artifacts through to the attached store so a
             # restart reopens at this exact epoch.  Best effort by design —
             # a store failure must never fail the delta itself — but never
@@ -861,13 +880,13 @@ class Dataspace:
                         PersistFailedWarning,
                         stacklevel=2,
                     )
-        # Standing queries advance after the write lock is released: the
+        # Standing queries advance after the writer mutex is released: the
         # registry re-executes structural subscribers against the committed
-        # snapshot, which must not happen under the session write lock.
+        # state, which must not hold up the session's other writers.
         self._subscriptions.drain()
         fields = dict(
-            delta_epoch=epoch,
-            generation=generation,
+            delta_epoch=state.delta_epoch,
+            generation=state.generation,
             num_mappings=len(patched),
             touched_mappings=effect.dirty_mask.bit_count(),
             structural_mappings=effect.structural_mask.bit_count(),
@@ -894,114 +913,109 @@ class Dataspace:
     def set_document(self, document: XMLDocument) -> "Dataspace":
         """Swap the source document the session evaluates queries over."""
         self._check_document(document)
-        with self._lock.write_locked():
-            self._document = document
-            self._document_version += 1
+        with self._write_lock:
+            state = self._state
+            self._state = replace(
+                state, document=document, document_version=state.document_version + 1
+            )
         return self
 
     # ------------------------------------------------------------------ #
     # Lazily built artifacts
     # ------------------------------------------------------------------ #
-    # Locking discipline: the public properties try a read-locked fast path
-    # first, then upgrade (release/reacquire) to the write lock and build via
-    # the _build_* helpers, which assume the write lock is held and call each
-    # other directly — never back through the locking properties.
+    # The public properties read the published state and return a built
+    # artifact at once.  A missing one is built by _build, which runs the
+    # _with_* steps under the writer mutex.  Each step takes a state and
+    # returns it with one more artifact built, or unchanged when the
+    # artifact is already there, so a thread that lost the race to the
+    # mutex builds nothing.
 
-    def _record_built(self, artifact: str, started: float) -> None:
-        """Record cold-derivation provenance for one artifact (see explain())."""
-        self._provenance[artifact] = {
-            "source": "built",
-            "ms": round((time.perf_counter() - started) * 1000.0, 3),
-        }
+    def _build(self, *steps: Callable[[EngineSnapshot], EngineSnapshot]) -> EngineSnapshot:
+        """Publish the current state with ``steps`` applied in order."""
+        with self._write_lock:
+            state = self._state
+            for step in steps:
+                state = step(state)
+            self._state = state
+        return state
 
-    def _build_matching(self) -> SchemaMatching:
-        if self._matching is None:
-            started = time.perf_counter()
-            if self._matcher_config is None and self._dataset_id is not None:
-                self._matching = load_dataset(self._dataset_id, seed=self._seed).matching
-            else:
-                config = self._matcher_config or MatcherConfig(seed=self._seed)
-                matcher = SchemaMatcher(config)
-                self._matching = matcher.match(
-                    self.source_schema, self.target_schema, name=self.name
-                )
-            self._record_built("matching", started)
-        return self._matching
-
-    def _build_mapping_set(self) -> MappingSet:
-        if self._mapping_set is None:
-            started = time.perf_counter()
-            if self._dataset_id is not None and self._matcher_config is None:
-                # Share the workload layer's cache with benchmarks and tests.
-                self._mapping_set = build_mapping_set(
-                    self._dataset_id, self._h, seed=self._seed, method=self._method
-                )
-            else:
-                self._mapping_set = generate_top_h_mappings(
-                    self._build_matching(), self._h, method=self._method
-                )
-            self._record_built("mapping_set", started)
-        return self._mapping_set
-
-    def _build_block_tree(self) -> BlockTree:
-        if self._block_tree is None:
-            started = time.perf_counter()
-            config = BlockTreeConfig(
-                tau=self._tau, max_blocks=self._max_blocks, max_failures=self._max_failures
+    def _with_matching(self, state: EngineSnapshot) -> EngineSnapshot:
+        if state.matching is not None:
+            return state
+        started = time.perf_counter()
+        if self._matcher_config is None and self._dataset_id is not None:
+            matching = load_dataset(self._dataset_id, seed=self._seed).matching
+        else:
+            config = self._matcher_config or MatcherConfig(seed=self._seed)
+            matching = SchemaMatcher(config).match(
+                self.source_schema, self.target_schema, name=self.name
             )
-            self._block_tree = build_block_tree(self._build_mapping_set(), config)
-            self._record_built("block_tree", started)
-        return self._block_tree
+        return _noting(state, "matching", started, matching=matching)
 
-    def _build_document(self) -> XMLDocument:
-        if self._document is None:
-            started = time.perf_counter()
-            if self._dataset_id is not None:
-                self._document = load_source_document(
-                    self._dataset_id, seed=self._seed, target_nodes=self._document_nodes
-                )
-            else:
-                self._document = generate_document(
-                    self.source_schema, target_nodes=self._document_nodes, seed=self._seed
-                )
-            self._record_built("document", started)
-        return self._document
+    def _with_mapping_set(self, state: EngineSnapshot) -> EngineSnapshot:
+        if state.mapping_set is not None:
+            return state
+        started = time.perf_counter()
+        if self._dataset_id is not None and self._matcher_config is None:
+            # Share the workload layer's cache with benchmarks and tests.
+            mapping_set = build_mapping_set(
+                self._dataset_id, self._h, seed=self._seed, method=self._method
+            )
+        else:
+            state = self._with_matching(state)
+            mapping_set = generate_top_h_mappings(state.matching, self._h, method=self._method)
+        return _noting(state, "mapping_set", started, mapping_set=mapping_set)
+
+    def _with_block_tree(self, state: EngineSnapshot) -> EngineSnapshot:
+        if state.block_tree is not None:
+            return state
+        started = time.perf_counter()
+        state = self._with_mapping_set(state)
+        config = BlockTreeConfig(
+            tau=state.tau, max_blocks=self._max_blocks, max_failures=self._max_failures
+        )
+        tree = build_block_tree(state.mapping_set, config)
+        return _noting(state, "block_tree", started, block_tree=tree)
+
+    def _with_document(self, state: EngineSnapshot) -> EngineSnapshot:
+        if state.document is not None:
+            return state
+        started = time.perf_counter()
+        if self._dataset_id is not None:
+            document = load_source_document(
+                self._dataset_id, seed=self._seed, target_nodes=self._document_nodes
+            )
+        else:
+            document = generate_document(
+                self.source_schema, target_nodes=self._document_nodes, seed=self._seed
+            )
+        return _noting(state, "document", started, document=document)
 
     @property
     def matching(self) -> SchemaMatching:
         """The schema matching (built and memoized on first access)."""
-        with self._lock.read_locked():
-            if self._matching is not None:
-                return self._matching
-        with self._lock.write_locked():
-            return self._build_matching()
+        matching = self._state.matching
+        return matching if matching is not None else self._build(self._with_matching).matching
 
     @property
     def mapping_set(self) -> MappingSet:
         """The top-h possible mappings (built and memoized on first access)."""
-        with self._lock.read_locked():
-            if self._mapping_set is not None:
-                return self._mapping_set
-        with self._lock.write_locked():
-            return self._build_mapping_set()
+        mapping_set = self._state.mapping_set
+        if mapping_set is not None:
+            return mapping_set
+        return self._build(self._with_mapping_set).mapping_set
 
     @property
     def block_tree(self) -> BlockTree:
         """The block tree over the mapping set (built and memoized on first access)."""
-        with self._lock.read_locked():
-            if self._block_tree is not None:
-                return self._block_tree
-        with self._lock.write_locked():
-            return self._build_block_tree()
+        tree = self._state.block_tree
+        return tree if tree is not None else self._build(self._with_block_tree).block_tree
 
     @property
     def document(self) -> XMLDocument:
         """The source document (loaded or generated on first access)."""
-        with self._lock.read_locked():
-            if self._document is not None:
-                return self._document
-        with self._lock.write_locked():
-            return self._build_document()
+        document = self._state.document
+        return document if document is not None else self._build(self._with_document).document
 
     @property
     def compiled(self) -> "CompiledMappingSet":
@@ -1017,64 +1031,32 @@ class Dataspace:
         if not mapping_set.is_compiled:
             started = time.perf_counter()
             compiled = mapping_set.compile()
-            self._record_built("compiled", started)
+            with self._write_lock:
+                self._state = _noting(self._state, "compiled", started)
             return compiled
         return mapping_set.compile()
 
     # ------------------------------------------------------------------ #
     # Snapshots and shared caches
     # ------------------------------------------------------------------ #
-    def _snapshot_if_built(self, need_tree: bool) -> Optional[EngineSnapshot]:
-        """Assemble a snapshot from already-built artifacts, else ``None``."""
-        if self._mapping_set is None or self._document is None:
-            return None
-        if need_tree and self._block_tree is None:
-            return None
-        return EngineSnapshot(
-            generation=self._generation,
-            document_version=self._document_version,
-            delta_epoch=self._delta_epoch,
-            tau=self._tau,
-            mapping_set=self._mapping_set,
-            document=self._document,
-            block_tree=self._block_tree,
-        )
-
     def snapshot(self, *, need_tree: bool = True) -> EngineSnapshot:
-        """Capture a consistent :class:`EngineSnapshot` of the session.
+        """The session's published :class:`EngineSnapshot`, built as far as needed.
 
-        Builds any missing artifact first (under the write lock), then
-        returns generation, document and mapping set — plus the block tree
-        unless ``need_tree=False`` and it is not already built — as one
-        atomic unit.  Execution paths evaluate against a snapshot, never
-        against the live session, which is what makes concurrent
-        ``configure()`` calls safe.
+        When the mapping set and document — plus the block tree unless
+        ``need_tree=False`` — are built, this returns the published state
+        itself, taking no lock.  Otherwise it builds what is missing under
+        the writer mutex and publishes the result.  The tree is present
+        with ``need_tree=False`` only when it was already built.  Execution
+        paths evaluate against a snapshot, never against the live session,
+        which is what makes concurrent ``configure()`` calls safe.
         """
-        with self._lock.read_locked():
-            snap = self._snapshot_if_built(need_tree)
-            if snap is not None:
-                return snap
-        with self._lock.write_locked():
-            self._build_mapping_set()
-            self._build_document()
-            if need_tree:
-                self._build_block_tree()
-            snap = self._snapshot_if_built(need_tree)
-            assert snap is not None  # all artifacts were just built
-            return snap
-
-    def try_snapshot(self, *, need_tree: bool = False) -> Optional[EngineSnapshot]:
-        """:meth:`snapshot` without waiting or building, else ``None``.
-
-        ``None`` while a writer holds or awaits the session lock, or while an
-        artifact the snapshot needs is not built yet.
-        """
-        if not self._lock.acquire_read(blocking=False):
-            return None
-        try:
-            return self._snapshot_if_built(need_tree)
-        finally:
-            self._lock.release_read()
+        state = self._state
+        if state.ready(need_tree):
+            return state
+        steps = [self._with_mapping_set, self._with_document]
+        if need_tree:
+            steps.append(self._with_block_tree)
+        return self._build(*steps)
 
     @property
     def result_cache(self) -> ResultCache:
@@ -1110,14 +1092,14 @@ class Dataspace:
         this session observed are reported (a compiled view produced outside
         the session property appears as ``built`` without a time).
         """
-        with self._lock.read_locked():
-            provenance = {name: dict(info) for name, info in self._provenance.items()}
-            if (
-                self._mapping_set is not None
-                and self._mapping_set.is_compiled
-                and "compiled" not in provenance
-            ):
-                provenance["compiled"] = {"source": "built"}
+        state = self._state
+        provenance = {name: dict(info) for name, info in state.provenance.items()}
+        if (
+            state.mapping_set is not None
+            and state.mapping_set.is_compiled
+            and "compiled" not in provenance
+        ):
+            provenance["compiled"] = {"source": "built"}
         return provenance
 
     def clear_caches(self) -> "Dataspace":
@@ -1145,7 +1127,7 @@ class Dataspace:
             "dataset_id": self._dataset_id,
             "h": self._h,
             "method": self._method,
-            "tau": self._tau,
+            "tau": self.tau,
             "max_blocks": self._max_blocks,
             "max_failures": self._max_failures,
             "seed": self._seed,
@@ -1482,42 +1464,43 @@ class Dataspace:
         Only reports statistics of artifacts that are already built — calling
         this never triggers a build.
         """
-        with self._lock.read_locked():
-            info: dict = {
-                "name": self.name,
-                "dataset": self._dataset_id,
-                "source": self.source_schema.name,
-                "|S|": len(self.source_schema),
-                "target": self.target_schema.name,
-                "|T|": len(self.target_schema),
-                "h": self._h,
-                "method": self._method,
-                "tau": self._tau,
-                "generation": self._generation,
-                "document_version": self._document_version,
-                "delta_epoch": self._delta_epoch,
-                "prepared_queries": len(self._prepared),
-                "matching_built": self._matching is not None,
-                "mapping_set_built": self._mapping_set is not None,
-                "compiled_built": self._mapping_set is not None
-                and self._mapping_set.is_compiled,
-                "block_tree_built": self._block_tree is not None,
-                "document_loaded": self._document is not None,
-            }
-            if self._matching is not None:
-                info["capacity"] = self._matching.capacity
-            if self._mapping_set is not None:
-                info["o_ratio"] = round(self._mapping_set.o_ratio(), 4)
-            if self._block_tree is not None:
-                info["num_blocks"] = self._block_tree.num_blocks
-            if self._document is not None:
-                info["document_nodes"] = len(self._document)
+        state = self._state
+        mapping_set = state.mapping_set
+        info: dict = {
+            "name": self.name,
+            "dataset": self._dataset_id,
+            "source": self.source_schema.name,
+            "|S|": len(self.source_schema),
+            "target": self.target_schema.name,
+            "|T|": len(self.target_schema),
+            "h": self._h,
+            "method": self._method,
+            "tau": state.tau,
+            "generation": state.generation,
+            "document_version": state.document_version,
+            "delta_epoch": state.delta_epoch,
+            "prepared_queries": len(self._prepared),
+            "matching_built": state.matching is not None,
+            "mapping_set_built": mapping_set is not None,
+            "compiled_built": mapping_set is not None and mapping_set.is_compiled,
+            "block_tree_built": state.block_tree is not None,
+            "document_loaded": state.document is not None,
+        }
+        if state.matching is not None:
+            info["capacity"] = state.matching.capacity
+        if mapping_set is not None:
+            info["o_ratio"] = round(mapping_set.o_ratio(), 4)
+        if state.block_tree is not None:
+            info["num_blocks"] = state.block_tree.num_blocks
+        if state.document is not None:
+            info["document_nodes"] = len(state.document)
         info["subscriptions"] = self._subscriptions.stats()
         info.update(self.cache_stats())
         return info
 
     def __repr__(self) -> str:
+        state = self._state
         return (
-            f"Dataspace({self.name!r}, h={self._h}, tau={self._tau}, "
-            f"generation={self._generation})"
+            f"Dataspace({self.name!r}, h={self._h}, tau={state.tau}, "
+            f"generation={state.generation})"
         )

@@ -29,7 +29,7 @@ scratch and retired every cache entry of the generation.  A
 The session-level entry point is :meth:`Dataspace.apply_delta
 <repro.engine.dataspace.Dataspace.apply_delta>` (and
 :meth:`QueryService.apply_delta <repro.service.service.QueryService.apply_delta>`
-on the serving layer), which swaps the patched set in under the write lock,
+on the serving layer), which publishes the patched set in a new session state,
 bumps the fine-grained ``delta_epoch`` counter *without* bumping the
 generation, and records the delta's masks in the result cache so
 non-intersecting entries keep serving.  In-flight queries are unaffected:
@@ -493,7 +493,9 @@ def apply_mapping_delta(
 
         old_compiled = mapping_set.compile()
         patched_set = MappingSet._patched(matching, new_mappings)
-        compiled = CompiledMappingSet.patched(old_compiled, patched_set, changed_pairs)
+        compiled = CompiledMappingSet.patched(
+            old_compiled, patched_set, changed_pairs, probability_ids
+        )
         patched_set._compiled = compiled
         posting_total = len(compiled._pair_masks)
     else:

@@ -222,21 +222,24 @@ class PreparedQuery:
         """The result ``execute(k=k, plan=plan)`` would serve from the cache, or ``None``.
 
         The lookup half of :meth:`execute` alone, for a caller that must not
-        block (the server's event loop).  It never waits on the session
-        lock, builds no artifact, resolves nothing and runs no plan: where
-        any of that would be needed it returns ``None``.  Without the filter
-        step it has no relevant-mapping mask, so any reweight since an
-        entry's epoch counts as touching the query (retention stays sound,
-        only more conservative than in :meth:`execute`).  A miss is not
-        counted — the caller falls back to :meth:`execute`, which counts
-        it — while a hit counts exactly as an ``execute()`` hit would.
+        block (the server's event loop).  It reads the session's published
+        state without a lock, so a writer in progress never delays it: the
+        answer comes from the last published state.  It builds no artifact,
+        resolves nothing and runs no plan: it returns ``None`` while the
+        query is unresolved or an artifact the plan needs is unbuilt.
+        Without the filter step it has no relevant-mapping mask, so any
+        reweight since an entry's epoch counts as touching the query
+        (retention stays sound, only more conservative than in
+        :meth:`execute`).  A miss is not counted — the caller falls back to
+        :meth:`execute`, which counts it — while a hit counts exactly as an
+        ``execute()`` hit would.
         """
         if self._resolved is None:
             return None
         ds = self._dataspace
         chosen = plan_for(plan if plan is not None else ds.plan_decision(self))
-        snap = ds.try_snapshot(need_tree=chosen.uses_block_tree)
-        if snap is None:
+        snap = ds._state
+        if not snap.ready(chosen.uses_block_tree):
             return None
         return self._lookup(self._result_key(chosen, k, snap), -1, count_miss=False)[0]
 

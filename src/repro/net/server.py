@@ -12,13 +12,14 @@ execution by construction, a property the differential suite pins.
 
 The event loop parses, queues and writes, and it answers a query whose
 result is already cached: :meth:`ApiHandler.cached
-<repro.api.handler.ApiHandler.cached>` looks the answer up without waiting on
-the session lock, preparing a new text or evaluating, and the loop encodes
-and writes it.  Everything else (misses, streams, batches, explain, deltas)
-executes on a thread pool (``run_in_executor``)
-against the thread-safe engine.  Overload never manifests as a hang:
-admission control (:class:`~repro.net.admission.AdmissionController`) bounds
-in-flight and queued evaluations and sheds the rest with typed
+<repro.api.handler.ApiHandler.cached>` looks the answer up against the
+session's published state, without taking a session lock, preparing a new
+text or evaluating, and the loop encodes and writes it.  Everything else
+(misses, streams, batches, explain, deltas) executes on a thread pool
+(``run_in_executor``) against the thread-safe engine.  Overload never
+manifests as a hang: admission control
+(:class:`~repro.net.admission.AdmissionController`) bounds in-flight and
+queued evaluations and sheds the rest with typed
 :class:`~repro.api.errors.OverloadedError` responses, and a per-request
 deadline turns stuck evaluations into typed
 :class:`~repro.api.errors.RequestTimeoutError` responses.  A cached answer

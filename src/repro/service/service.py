@@ -194,8 +194,8 @@ class QueryService:
     def apply_delta(self, delta):
         """Apply a mapping delta to the served session, atomically.
 
-        Writer-side companion of the read paths: the update commits under
-        the session's existing write lock, so in-flight queries (which
+        Writer-side companion of the read paths: the update commits as one
+        newly published session state, so in-flight queries (which
         evaluate against immutable snapshots) are unaffected, and every
         request submitted afterwards sees the new ``delta_epoch`` — the
         single-flight key includes it, so post-delta submits never join a

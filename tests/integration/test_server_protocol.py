@@ -18,8 +18,9 @@ Covered here, per the serving contract (docs/serving.md):
 * and the differential pin: server response bytes are identical to
   in-process :class:`~repro.api.ApiHandler` execution;
 * cached answers are served on the event loop: never queued or shed, counted
-  once, byte-identical to the executor path, and never served (nor the loop
-  blocked) while a writer holds or awaits the session lock.
+  once, byte-identical to the executor path, and served from the last
+  published state, without waiting, while a writer holds the session's writer
+  mutex.
 """
 
 from __future__ import annotations
@@ -483,15 +484,6 @@ def http_query_bytes(port: int, fields: dict) -> bytes:
     return payload
 
 
-def assert_unanswered(sock: socket.socket, seconds: float = 0.2) -> None:
-    sock.settimeout(seconds)
-    try:
-        with pytest.raises(socket.timeout):
-            sock.recv(1, socket.MSG_PEEK)
-    finally:
-        sock.settimeout(30.0)
-
-
 class TestLoopServedHits:
     def test_cached_query_is_answered_while_the_only_slot_is_busy(self, service):
         request = QueryRequest(query="Q2", k=3)
@@ -568,46 +560,29 @@ class TestLoopServedHits:
             assert served_on_loop(harness.server) - loop == hits
 
     @pytest.mark.parametrize("writer", ["holds", "awaits"])
-    def test_writer_stops_loop_serving_but_not_the_loop(
-        self, dataspace, service, harness, writer
-    ):
+    def test_writer_never_delays_the_loop(self, dataspace, service, harness, writer):
+        """A writer mid-write: the loop answers from the last published state."""
         request = QueryRequest(query="Q3", k=2)
         expected = encode_message(ApiHandler(service).handle(request))  # warms the cache
-        lock = dataspace._lock
+        dataspace._write_lock.acquire()
         waiting = None
-        if writer == "holds":
-            lock.acquire_write()
-            release = lock.release_write
-        else:
-            lock.acquire_read()  # the writer below queues behind this reader
-            waiting = threading.Thread(
-                target=lambda: (lock.acquire_write(), lock.release_write())
-            )
-            waiting.start()
-            deadline = time.monotonic() + 5.0
-            while lock._waiting_writers == 0 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert lock._waiting_writers == 1
-            release = lock.release_read
         try:
+            if writer == "awaits":
+                # A second writer queues behind the first; with no arguments
+                # configure() republishes the same state once it gets in.
+                waiting = threading.Thread(target=dataspace.configure)
+                waiting.start()
             with raw_socket(harness.port) as sock, raw_socket(harness.port) as control:
                 before = served_on_loop(harness.server)
                 send_request(sock, request)
-                started = time.monotonic()
+                assert recv_frame(sock) == (OP_RESPONSE, expected)
+                assert served_on_loop(harness.server) == before + 1
                 control.sendall(encode_frame(OP_PING))
                 assert recv_frame(control) == (OP_PONG, b"")
-                assert time.monotonic() - started < 0.1
-                assert_unanswered(sock)
-                assert served_on_loop(harness.server) == before
-                release()
-                release = None
-                opcode, payload = recv_frame(sock)
-                assert opcode == OP_RESPONSE
-                assert payload == expected
-                assert served_on_loop(harness.server) == before
+            if waiting is not None:
+                assert waiting.is_alive()
         finally:
-            if release is not None:
-                release()
+            dataspace._write_lock.release()
             if waiting is not None:
                 waiting.join(10)
                 assert not waiting.is_alive()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
@@ -19,7 +20,6 @@ from repro.engine import (
     available_plans,
     plan_for,
 )
-from repro.engine.locking import ReadWriteLock
 from repro.exceptions import DataspaceError, QueryError
 from repro.matching.matcher import MatcherConfig
 from repro.mapping.mapping import Mapping
@@ -150,6 +150,69 @@ class TestInvalidation:
         with pytest.raises(DataspaceError):
             figure_dataspace.configure(matcher_config=MatcherConfig())
 
+    def test_rejected_configure_changes_nothing(self, source_schema, target_schema):
+        ds = Dataspace(source_schema, target_schema, h=5, seed=1, tau=0.3)
+        state = ds.snapshot()
+        with pytest.raises(DataspaceError):
+            ds.configure(matcher_config=MatcherConfig(strategy="fragment", seed=1), h=0)
+        assert ds.matcher_config is None
+        assert ds.generation == state.generation
+        assert ds.snapshot() is state
+
+
+# --------------------------------------------------------------------------- #
+# The published state: one immutable EngineSnapshot per write
+# --------------------------------------------------------------------------- #
+class TestPublishedState:
+    def test_reads_without_a_write_share_one_object(self, figure_dataspace):
+        ds = figure_dataspace
+        state = ds.snapshot(need_tree=False)
+        assert ds.snapshot(need_tree=False) is state
+        tree_state = ds.snapshot()  # builds the tree once and publishes it
+        assert ds.snapshot() is tree_state
+        assert ds.snapshot(need_tree=False) is tree_state
+
+    def test_writes_leave_earlier_states_unchanged(self, figure_dataspace, figure_mappings):
+        ds = figure_dataspace
+        old = ds.snapshot()
+        before = {field.name: getattr(old, field.name) for field in dataclasses.fields(old)}
+        provenance = {name: dict(info) for name, info in old.provenance.items()}
+        ds.apply_delta_batch(
+            [
+                MappingDelta.build(
+                    reweight={0: figure_mappings[3].probability, 3: figure_mappings[0].probability}
+                )
+            ]
+        )
+        patched = ds.snapshot(need_tree=False)
+        assert patched.delta_epoch == old.delta_epoch + 1
+        assert patched.mapping_set is not old.mapping_set
+        ds.configure(tau=0.5)
+        assert ds.snapshot().tau == 0.5
+        assert all(getattr(old, name) is value for name, value in before.items())
+        assert old.provenance == provenance
+
+    def test_commit_logs_its_epoch_before_publishing_it(
+        self, figure_dataspace, figure_mappings, monkeypatch
+    ):
+        ds = figure_dataspace
+        ds.snapshot(need_tree=False)
+        seen = []
+        record = ds.result_cache.record_delta
+
+        def recording(epoch, *masks):
+            seen.append((epoch, ds._state.delta_epoch))  # the published epoch
+            record(epoch, *masks)
+
+        monkeypatch.setattr(ds.result_cache, "record_delta", recording)
+        ds.apply_delta(
+            MappingDelta.build(
+                reweight={0: figure_mappings[3].probability, 3: figure_mappings[0].probability}
+            )
+        )
+        assert seen == [(1, 0)]
+        assert ds.delta_epoch == 1
+
 
 # --------------------------------------------------------------------------- #
 # Prepared queries
@@ -279,46 +342,6 @@ class TestPreparedQueries:
 # --------------------------------------------------------------------------- #
 # The lookup half alone: PreparedQuery.cached
 # --------------------------------------------------------------------------- #
-def waiting_writer(lock):
-    """Start a writer that queues behind the caller's read lock; returns its thread."""
-    writer = threading.Thread(target=lambda: (lock.acquire_write(), lock.release_write()))
-    writer.start()
-    deadline = time.monotonic() + 5.0
-    while lock._waiting_writers == 0 and time.monotonic() < deadline:
-        time.sleep(0.005)
-    assert lock._waiting_writers == 1
-    return writer
-
-
-class TestNonBlockingRead:
-    def test_free_lock_is_acquired(self):
-        lock = ReadWriteLock()
-        assert lock.acquire_read(blocking=False) is True
-        assert lock._active_readers == 1
-        lock.release_read()
-
-    def test_active_writer_refuses_without_blocking(self):
-        lock = ReadWriteLock()
-        lock.acquire_write()
-        started = time.monotonic()
-        assert lock.acquire_read(blocking=False) is False
-        assert time.monotonic() - started < 0.1
-        assert lock._active_readers == 0
-        lock.release_write()
-
-    def test_waiting_writer_refuses_without_blocking(self):
-        lock = ReadWriteLock()
-        lock.acquire_read()
-        writer = waiting_writer(lock)
-        started = time.monotonic()
-        assert lock.acquire_read(blocking=False) is False
-        assert time.monotonic() - started < 0.1
-        assert lock._active_readers == 1
-        lock.release_read()
-        writer.join(5)
-        assert not writer.is_alive()
-
-
 class TestCachedLookup:
     def test_hit_counts_like_execute_and_miss_counts_nothing(self, figure_dataspace):
         ds = figure_dataspace
@@ -351,24 +374,30 @@ class TestCachedLookup:
         assert not figure_dataspace.describe()["block_tree_built"]
 
     @pytest.mark.parametrize("writer", ["holds", "awaits"])
-    def test_writer_makes_the_lookup_step_aside(self, figure_dataspace, writer):
+    def test_writer_never_delays_the_lookup(self, figure_dataspace, writer):
+        """A writer mid-write leaves the lookup on the last published state."""
         ds = figure_dataspace
         result = ds.execute(ICN_QUERY)
-        lock = ds._lock
-        started = time.monotonic()
-        if writer == "holds":
-            lock.acquire_write()
-            assert ds.cached(ICN_QUERY) is None
-            lock.release_write()
-        else:
-            lock.acquire_read()
-            thread = waiting_writer(lock)
+        ds._write_lock.acquire()  # a writer holds the mutex ...
+        waiting = None
+        try:
+            if writer == "awaits":  # ... and another queues behind it
+                waiting = threading.Thread(target=ds.configure, kwargs={"tau": 0.5})
+                waiting.start()
             started = time.monotonic()
-            assert ds.cached(ICN_QUERY) is None
-            lock.release_read()
-            thread.join(5)
-        assert time.monotonic() - started < 0.5
-        assert ds.cached(ICN_QUERY) is result
+            assert ds.cached(ICN_QUERY) is result
+            assert time.monotonic() - started < 0.5
+            if waiting is not None:
+                assert waiting.is_alive()
+        finally:
+            ds._write_lock.release()
+        if waiting is None:
+            assert ds.cached(ICN_QUERY) is result  # nothing was published
+            return
+        waiting.join(5)
+        assert not waiting.is_alive()
+        # The published tau is part of the key: the old entry is unreachable.
+        assert ds.cached(ICN_QUERY) is None
 
     def test_reweight_defers_retention_to_execute(self, figure_dataspace, figure_mappings):
         ds = figure_dataspace

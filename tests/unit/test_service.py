@@ -1,4 +1,4 @@
-"""Tests for the concurrent service layer: cache, locks, batches, service.
+"""Tests for the concurrent service layer: cache, batches, service.
 
 The figure fixtures (paper Figures 1-3) keep these fast; everything here is
 about the *serving* semantics — LRU behaviour, generation-keyed staleness,
@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.engine import Dataspace, ReadWriteLock, ResultCache
+from repro.engine import Dataspace, ResultCache
 from repro.exceptions import DataspaceError
 from repro.service import QueryService
 from repro.service.service import default_service_workers, percentile
@@ -98,72 +98,6 @@ class TestResultCache:
         assert cache.peek("b") is None
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 0
-
-
-# --------------------------------------------------------------------------- #
-# ReadWriteLock
-# --------------------------------------------------------------------------- #
-class TestReadWriteLock:
-    def test_readers_share(self):
-        lock = ReadWriteLock()
-        inside = threading.Barrier(2, timeout=5)
-
-        def reader():
-            with lock.read_locked():
-                inside.wait()  # both readers are inside simultaneously
-
-        threads = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert not any(thread.is_alive() for thread in threads)
-
-    def test_writer_excludes_readers(self):
-        lock = ReadWriteLock()
-        order: list[str] = []
-        writer_in = threading.Event()
-
-        def writer():
-            with lock.write_locked():
-                writer_in.set()
-                order.append("write")
-
-        def reader():
-            writer_in.wait(timeout=5)
-            with lock.read_locked():
-                order.append("read")
-
-        lock.acquire_read()  # hold the lock so the writer must wait
-        write_thread = threading.Thread(target=writer)
-        write_thread.start()
-        read_thread = threading.Thread(target=reader)
-        read_thread.start()
-        lock.release_read()
-        write_thread.join(timeout=5)
-        read_thread.join(timeout=5)
-        assert order == ["write", "read"]
-
-    def test_writer_preference_blocks_new_readers(self):
-        lock = ReadWriteLock()
-        lock.acquire_read()
-        waiting = threading.Thread(target=lock.acquire_write)
-        waiting.start()
-        # Give the writer time to register as waiting; a fresh reader must
-        # now block rather than overtake it.
-        import time
-
-        time.sleep(0.05)
-        blocked = threading.Thread(target=lock.acquire_read)
-        blocked.start()
-        blocked.join(timeout=0.1)
-        assert blocked.is_alive()  # reader is parked behind the waiting writer
-        lock.release_read()
-        waiting.join(timeout=5)
-        lock.release_write()
-        blocked.join(timeout=5)
-        assert not blocked.is_alive()
-        lock.release_read()
 
 
 # --------------------------------------------------------------------------- #

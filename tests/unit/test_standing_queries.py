@@ -10,12 +10,14 @@ from-scratch basic execution returns.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro.query.ptq as ptq
 from repro.engine import Dataspace, MappingDelta
 from repro.engine.plans import QueryPlan
-from repro.engine.streaming import DeltaBatch, apply_update
+from repro.engine.streaming import DeltaBatch, SubscriptionUpdate, apply_update
 from repro.mapping.mapping_set import MappingSet
 
 QUERY = "//CONTACT_NAME"
@@ -112,3 +114,26 @@ def test_standing_queries_of_one_query_share_a_result(session):
     relevant = session.prepare(QUERY).relevant_mappings()
     assert standing.result._mask == relevant.mask
     assert standing.result._rows is None
+
+
+def test_reweight_update_is_a_plain_frozen_update(session):
+    events: list = []
+    session.subscribe(QUERY, k=2, callback=events.append)
+    probabilities = [mapping.probability for mapping in session.mapping_set]
+    session.apply_delta_batch(
+        DeltaBatch.of(
+            MappingDelta.build(reweight={1: probabilities[2], 2: probabilities[1]})
+        )
+    )
+    update = events[-1]
+    assert update.kind == "reweight"
+    # Built without the dataclass __init__, it is indistinguishable from an
+    # update the constructor builds from the same fields.
+    rebuilt = SubscriptionUpdate(
+        **{field.name: getattr(update, field.name) for field in dataclasses.fields(update)}
+    )
+    assert update == rebuilt and hash(update) == hash(rebuilt)
+    assert repr(update) == repr(rebuilt)
+    assert dataclasses.replace(update, subscription_id=99).subscription_id == 99
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        update.kind = "structural"
